@@ -227,7 +227,8 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
     for c in cs:
         u0 = powerseries.exp_conv(powerseries.mgf_initial(c, K))
         _, val = schemes.scheme3_linear(G, u0.coeffs, T, x0=x0)
-        stat = 0.5 * (1.0 + math.exp(c))
+        # stationary law: mass x0 at 1 and 1 - x0 at 0 (X is a martingale)
+        stat = (1.0 - x0) + x0 * math.exp(c)
         err = abs(val.real - stat)
         worst = max(worst, err)
         rows.append([c, val.real, stat, err])

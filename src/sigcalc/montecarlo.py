@@ -213,6 +213,23 @@ def simulate_sigsde(
     )
 
 
+_hermite_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights, computed once per n (a
+    race between threads only computes them twice)."""
+    got = _hermite_cache.get(n)
+    if got is None:
+        from scipy.special import roots_hermite
+
+        got = roots_hermite(n)
+        for a in got:
+            a.setflags(write=False)
+        _hermite_cache[n] = got
+    return got
+
+
 def gauss_hermite_expectation(
     f,
     variance: float,
@@ -230,10 +247,8 @@ def gauss_hermite_expectation(
     if variance == 0:
         return complex(f(np.array([0.0]))[0]) if callable(f) else complex(f)
 
-    from scipy.special import roots_hermite
-
     def run(n):
-        x, w = roots_hermite(n)
+        x, w = _hermite_rule(n)
         vals = f(x * math.sqrt(2.0 * variance))
         return complex(np.sum(w * vals) / math.sqrt(math.pi))
 

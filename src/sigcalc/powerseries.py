@@ -119,19 +119,32 @@ class Seq:
         return [complex(c) for c in self.coeffs]
 
 
+_factorial_cache: dict[int, np.ndarray] = {}
+
+
+def _factorial_weights(K: int) -> np.ndarray:
+    """Read-only vector (0!, 1!, ..., K!) in float64, built once per K (a
+    race between threads only builds it twice)."""
+    got = _factorial_cache.get(K)
+    if got is None:
+        got = np.array([math.factorial(k) for k in range(K + 1)], dtype=np.float64)
+        got.setflags(write=False)
+        _factorial_cache[K] = got
+    return got
+
+
 def to_factorial_basis(u: Seq) -> Seq:
     """Rescale u_k -> k! u_k (monomial to signature-coefficient basis)."""
-    w = np.array([math.factorial(k) for k in range(u.K + 1)], dtype=np.float64)
-    return Seq(u.K, u.coeffs * w)
+    return Seq(u.K, u.coeffs * _factorial_weights(u.K))
 
 
 def from_factorial_basis(u: Seq) -> Seq:
     """Rescale u_k -> u_k / k! (signature-coefficient to monomial basis)."""
-    w = np.array([math.factorial(k) for k in range(u.K + 1)], dtype=np.float64)
-    return Seq(u.K, u.coeffs / w)
+    return Seq(u.K, u.coeffs / _factorial_weights(u.K))
 
 
 _binom_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_binom_mp_cache: dict[int, np.ndarray] = {}
 _binom_lock = threading.Lock()
 
 
@@ -157,16 +170,64 @@ def _binom_triplets(K: int):
     return got
 
 
+def _binom_weights_mp(K: int) -> np.ndarray:
+    """The float64 weights of ``_binom_triplets(K)`` as mpmath numbers.
+
+    Each is converted exactly (53 bits), whatever the working precision, so
+    a product with an mpmath number rounds exactly as the float weight's
+    product does.  Equal weights share one object.
+    """
+    got = _binom_mp_cache.get(K)
+    if got is None:
+        ws = _binom_triplets(K)[2]
+        with _binom_lock:
+            got = _binom_mp_cache.get(K)
+            if got is None:
+                from mpmath import mp
+                from mpmath.libmp import from_float
+
+                exact = {w: mp.make_mpf(from_float(w)) for w in set(ws.tolist())}
+                got = np.array([exact[w] for w in ws.tolist()], dtype=object)
+                got.setflags(write=False)
+                _binom_mp_cache[K] = got
+    return got
+
+
+def _real_if_exact(c: np.ndarray) -> np.ndarray:
+    """Real part of a complex array whose imaginary part is all zero."""
+    if c.dtype.kind == "c" and not np.any(c.imag):
+        return c.real
+    return c
+
+
+def _all_mpmath(c: np.ndarray) -> bool:
+    from mpmath import mp
+
+    return all(isinstance(x, (mp.mpf, mp.mpc)) for x in c)
+
+
 def binom_conv(u: Seq, v: Seq) -> Seq:
-    """Binomial convolution (u * v)_n = sum_k C(n,k) u_k v_{n-k}."""
+    """Binomial convolution (u * v)_n = sum_k C(n,k) u_k v_{n-k}.
+
+    Only terms whose two factors are nonzero are formed.  When either
+    factor holds objects (extended-precision scalars), a complex factor with
+    zero imaginary part enters as real, so real inputs give real outputs;
+    the products are the real parts of the complex ones, bit for bit.
+    """
     u._check(v)
     ks, ms, ws = _binom_triplets(u.K)
-    uk = u.coeffs[ks]
-    vm = v.coeffs[ms]
-    # skip structurally zero terms; essential for object-dtype coefficients
-    keep = (uk != 0) & (vm != 0)
-    out = np.zeros(u.K + 1, dtype=np.result_type(u.coeffs, v.coeffs))
-    np.add.at(out, (ks + ms)[keep], ws[keep] * uk[keep] * vm[keep])
+    uc, vc = u.coeffs, v.coeffs
+    if uc.dtype == object or vc.dtype == object:
+        uc, vc = _real_if_exact(uc), _real_if_exact(vc)
+    # skip structurally zero terms: K+1 comparisons per factor, gathered
+    # through the triplet indices, instead of one per (k, n-k) pair
+    nzu = uc != 0
+    keep = nzu[ks] & (vc != 0)[ms]
+    if uc.dtype == object and _all_mpmath(uc[nzu]):
+        ws = _binom_weights_mp(u.K)
+    ks, ms = ks[keep], ms[keep]
+    out = np.zeros(u.K + 1, dtype=np.result_type(uc, vc))
+    np.add.at(out, ks + ms, ws[keep] * uc[ks] * vc[ms])
     return Seq(u.K, out)
 
 

@@ -74,6 +74,17 @@ def test_jacobi_mgf(runner, tmp_path):
     assert read_report(stem)["passed"]
 
 
+def test_jacobi_mgf_off_center_x0(runner, tmp_path):
+    # the limit law puts mass x0 at 1, so its mgf is (1 - x0) + x0 e^c
+    stem = tmp_path / "jac03"
+    result = runner.invoke(
+        main,
+        ["jacobi-mgf", "--T", "100", "--K", "40", "--num", "5", "--x0", "0.3", "--out", str(stem), "--check"],
+    )
+    assert result.exit_code == 0, result.output
+    assert read_report(stem)["passed"]
+
+
 def test_levy_area(runner, tmp_path):
     stem = tmp_path / "levy"
     result = runner.invoke(

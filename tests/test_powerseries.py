@@ -222,6 +222,51 @@ def test_seq_object_dtype_passthrough():
         assert np.allclose(got, ref.coeffs, atol=1e-15)
 
 
+@pytest.mark.parametrize("op", [R_sig, L_sig])
+def test_real_mp_state_stays_real(op, rng):
+    # a real model on a real mpmath state must not promote it to mpc, and
+    # the result must agree with the complex128 path
+    from mpmath import mp, mpf
+
+    K = 12
+    models = [brownian_model(K), wright_fisher_model([0.3, 0.7], K), cubic_interval_model(K)]
+    vals = rng.normal(size=K + 1) * 0.5
+    for model in models:
+        with mp.workdps(40):
+            u = Seq(K, np.array([mpf(float(x)) for x in vals], dtype=object))
+            out = op(u, model).coeffs
+            assert out.dtype == object
+            assert not any(isinstance(z, mp.mpc) for z in out)
+            assert all(isinstance(z, mp.mpf) for z in out if z != 0)
+            stepped = u.coeffs + out * (mpf(1) / 7)
+            assert all(isinstance(z, mp.mpf) for z in stepped)
+        ref = op(Seq(K, vals), model).coeffs
+        got = np.array([float(z) for z in out])
+        assert np.allclose(got, ref.real, rtol=1e-13, atol=1e-13)
+
+
+def test_mp_binom_conv_weights_exact_at_any_precision():
+    # the first extended-precision convolution at a truncation may run at
+    # low precision; later ones must still use the float64 weights exactly.
+    # K=61 is used by no other test, so the first call below comes first.
+    # C(61, 30) ~ 2.3e17 needs more than 37 bits (dps=10) and 53 bits.
+    from mpmath import mp, mpf
+
+    K = 61
+    with mp.workdps(10):
+        u = Seq(K, np.array([mpf(1) / (k + 3) for k in range(K + 1)], dtype=object))
+        binom_conv(u, u)
+    with mp.workdps(60):
+        u = Seq(K, np.array([mpf(1) / (k + 3) for k in range(K + 1)], dtype=object))
+        v = Seq(K, np.array([mpf(2) / (k + 7) for k in range(K + 1)], dtype=object))
+        got = binom_conv(u, v).coeffs
+        for n in (K, 40, 7):
+            ref = 0
+            for k in range(n + 1):
+                ref = ref + (mpf(float(math.comb(n, k))) * u.coeffs[k]) * v.coeffs[n - k]
+            assert got[n] == ref
+
+
 def to_factorial_basis_obj(u):
     w = np.array([math.factorial(k) for k in range(u.K + 1)], dtype=object)
     return Seq(u.K, u.coeffs * w)

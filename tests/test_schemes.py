@@ -1,5 +1,6 @@
 """ODE integration, the three value schemes, and the matrix exponential."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -229,6 +230,69 @@ def test_scheme2_smoothness_detector():
     traj, vals = scheme2_transport(R, np.array([1.0 + 0j]), cfg)
     assert traj.status == "exploded"
     assert traj.explosion_time is not None and traj.explosion_time <= 0.3
+
+
+# Recorded from the float64-weight, complex-promoting implementation of
+# binom_conv: the extended-precision path must keep producing these bits.
+# Quartic initial data at K=16, N=8, T=1; per M: the transport values
+# (float.hex of the real parts; imaginary parts are zero), the working dps,
+# and a digest of the exact mpmath state after the N half-steps.
+QUARTIC_MP_GOLDEN = {
+    16: (
+        [
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.fe003ffaab000p-1",
+            "0x1.fa05bd70e4bc0p-1", "0x1.f45af92d48850p-1", "0x1.ed890ce38b962p-1",
+            "0x1.e625c1e3c0050p-1", "0x1.de8ae66a6707ap-1", "0x1.d6cb36e824893p-1",
+        ],
+        34,
+        "f45315b9de3a92c9d0418f20a8652cae9bb936dc98c7e43ccb0638a80a82648d",
+    ),
+    32: (
+        [
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.fe000fffaaac0p-1",
+            "0x1.fa02afaf07237p-1", "0x1.f4503f6ac2814p-1", "0x1.ed737f3aaf08fp-1",
+            "0x1.e6097b0d23d95p-1", "0x1.de6f88fa371f0p-1", "0x1.d6a5d746d6404p-1",
+        ],
+        37,
+        "1afd5398d4b43371499cdfb3b3d9d84e33f9275123936f4dffaeee9c2be5c525",
+    ),
+}
+
+
+def exact_real_digest(coeffs) -> str:
+    """sha256 over the exact (sign, mantissa, exponent) of each real part."""
+    from mpmath import mp
+
+    parts = []
+    for c in coeffs:
+        c = mp.mpmathify(c)
+        if isinstance(c, mp.mpc):
+            assert c.imag == 0
+            c = c.real
+        sign, man, exp, _ = c._mpf_
+        parts.append(f"{sign},{int(man)},{exp}")
+    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("M", [16, 32])
+def test_scheme2_mp_path_matches_recorded_bits(M):
+    from mpmath import mp
+
+    K, N, T = 16, 8, 1.0
+    values, dps, digest = QUARTIC_MP_GOLDEN[M]
+    u0 = to_factorial_basis(powerseries.quartic_initial(K)).coeffs
+    R = brownian_R(K)
+    traj, vals = scheme2_transport(R, u0, SchemeConfig(T=T, N=N, M=M, steps=1))
+    assert traj.status == "completed"
+    assert [float(v.real).hex() for v in vals] == values
+    assert not np.any(vals.imag)
+    # the same half-steps at the transport's working precision, bit for bit
+    with mp.workdps(dps):
+        u = np.array([mp.mpf(float(z.real)) for z in u0], dtype=object)
+        inv_m = mp.mpf(1) / M
+        for _ in range(N):
+            u = u + R(u) * inv_m
+    assert exact_real_digest(u) == digest
 
 
 # -- scheme 3 -------------------------------------------------------------------
