@@ -5,11 +5,13 @@ stem: ``<out>.csv`` with the plotted numbers, ``<out>.svg`` with a small
 static plot, and ``<out>.report.json`` with configuration, timings and the
 built-in cross-checks.  ``--check`` turns failed cross-checks into a nonzero
 exit code.  The environment variable SIGCALC_THREADS caps the BLAS thread
-count when a thread-control backend is available.
+count when a thread-control backend (threadpoolctl) is available, and logs a
+warning when it is not.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import sys
@@ -20,8 +22,12 @@ import numpy as np
 from . import montecarlo, operators, powerseries, schemes, signature, tensor
 from .report import RunReport, write_csv, write_svg
 
+log = logging.getLogger(__name__)
+
 
 def _apply_thread_cap() -> int | None:
+    """Cap the BLAS threads at SIGCALC_THREADS; returns the cap that took
+    effect, or None, with a warning when the variable is set in vain."""
     raw = os.environ.get("SIGCALC_THREADS")
     if not raw:
         return None
@@ -30,8 +36,10 @@ def _apply_thread_cap() -> int | None:
         import threadpoolctl
 
         threadpoolctl.threadpool_limits(cap)
-    except Exception:
-        pass
+    except Exception as exc:
+        why = "threadpoolctl is not installed" if isinstance(exc, ImportError) else exc
+        log.warning("SIGCALC_THREADS=%s has no effect: %s", raw, why)
+        return None
     return cap
 
 

@@ -99,25 +99,47 @@ def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
     return Sim1DResult(finals=finals, clamped_steps=clamped, n_steps=steps)
 
 
-def _segment_signature_block(dx: np.ndarray, tab) -> np.ndarray:
-    """Per-path signature of one linear segment, flat layout (nb, n_words)."""
-    nb, d = dx.shape
-    out = np.empty((nb, tab.size))
-    out[:, 0] = 1.0
-    lvl = np.ones((nb, 1))
-    fact = 1.0
-    for n in range(1, tab.N + 1):
-        lvl = (lvl[:, :, None] * dx[:, None, :]).reshape(nb, -1)
-        fact *= n
-        out[:, tab.offsets[n] : tab.offsets[n + 1]] = lvl / fact
-    return out
+def _chen_exp_step(levels: list, dx_over: np.ndarray, work: list) -> None:
+    """In place, per path: S <- S (x) exp(dx), the Chen update by one linear
+    segment, on the levels-first layout.
+
+    ``levels[n]`` is the (d^n, nb) view of level n of the running signature;
+    ``dx_over[k]`` holds dx / k, shape (d, nb), for k = 1..N.  Level n is
+    rebuilt from the old levels below it by the restricted exponential in
+    Horner form,
+
+        t <- dx/n + S_1,  t <- t (x) dx/(n-m+1) + S_m  (m = 2..n),  S_n <- t,
+
+    going from level N down to level 1 so that every level still reads the
+    old values of the lower ones.  ``work[m]`` is a (d^m, nb) scratch array;
+    the tensor product with dx is a broadcast multiply into its
+    (d^(m-1), d, nb) view.  Level 0 is never touched.
+    """
+    N = len(levels) - 1
+    for n in range(N, 1, -1):
+        t = np.add(dx_over[n], levels[1], out=work[1])
+        for m in range(2, n + 1):
+            prod = work[m].reshape(t.shape[0], *dx_over.shape[1:])
+            np.multiply(t[:, None, :], dx_over[n - m + 1], out=prod)
+            if m < n:
+                t = np.add(work[m], levels[m], out=work[m])
+            else:
+                np.add(levels[n], work[n], out=levels[n])
+    if N >= 1:
+        np.add(levels[1], dx_over[1], out=levels[1])
 
 
-def _chen_apply(sig: np.ndarray, seg: np.ndarray, tab) -> np.ndarray:
-    out = np.zeros_like(sig)
-    for i, j, k in zip(tab.cc_i, tab.cc_j, tab.cc_k):
-        out[:, k] += sig[:, i] * seg[:, j]
-    return out
+def _pair(pairings: list, sig: np.ndarray, coef: np.ndarray, tmp: np.ndarray) -> None:
+    """coef[r] <- sum_k c_k sig[k] per path, over the nonzero words of each
+    characteristic; rows without any stay as they are (zero)."""
+    for r, terms in pairings:
+        if not terms:
+            continue
+        (k, c), rest = terms[0], terms[1:]
+        np.multiply(sig[k], c, out=coef[r])
+        for k, c in rest:
+            np.multiply(sig[k], c, out=tmp)
+            np.add(coef[r], tmp, out=coef[r])
 
 
 @dataclass
@@ -142,8 +164,15 @@ def simulate_sigsde(
     The drift vector and diffusion matrix are evaluated per path by pairing
     the characteristics with the running signature; the signature must be
     carried at a truncation at least as deep as the characteristics' support.
-    ``functional`` maps the final (nb, n_words) signature block to one sample
-    per path.
+
+    Each block keeps its running signatures in one contiguous
+    (n_words, nb) array, levels first and paths last, with one view per
+    level.  Every Euler step multiplies it in place by the signature of the
+    step's segment, level N down to level 1, by the restricted exponential
+    in Horner form (``_chen_exp_step``); all buffers, the normal draws
+    included, are allocated once per block.  ``functional`` maps the final
+    signatures of a block, an (nb, n_words) array (the transposed view), to
+    one sample per path.
     """
     d = spec.d
     need = max(
@@ -155,58 +184,88 @@ def simulate_sigsde(
             f"signature truncation {N_sig} below characteristic support {need}"
         )
     tab = tables(d, N_sig)
+    offs = tab.offsets
     b_vecs = [c.with_truncation(N_sig).coeffs.real for c in spec.b]
     a_vecs = [[c.with_truncation(N_sig).coeffs.real for c in row] for row in spec.a]
     diag_only = all(
         not np.any(a_vecs[i][j]) for i in range(d) for j in range(d) if i != j
     )
+    # rows 0..d-1 pair to the drift, the rest to a_ii (diagonal) or to a_ij
+    # in row-major (i, j) order
+    if diag_only:
+        a_rows = [a_vecs[i][i] for i in range(d)]
+    else:
+        a_rows = [a_vecs[i][j] for i in range(d) for j in range(d)]
+    pairings = [
+        (r, [(int(k), float(v[k])) for k in np.flatnonzero(v)])
+        for r, v in enumerate(b_vecs + a_rows)
+    ]
     steps = max(1, round(T / cfg.dt))
     dt = T / steps
     sqrt_dt = math.sqrt(dt)
 
-    sig_sum = np.zeros(tab.size)
-    sig_sumsq = np.zeros(tab.size)
+    # per-word mean and sum of squared deviations, merged block by block
+    # (Chan et al.), so words that every path shares get a zero spread
+    mean = np.zeros(tab.size)
+    m2 = np.zeros(tab.size)
     finals = np.empty((cfg.n_paths, d))
     fn_samples = [] if functional is not None else None
     clamped = 0
 
     for blk, nb in _blocks(cfg.n_paths, cfg.block_size):
         rng = _block_rng(cfg.seed, blk)
-        x = np.tile(spec.x0, (nb, 1))
-        sig = np.zeros((nb, tab.size))
-        sig[:, 0] = 1.0
+        sig = np.zeros((tab.size, nb))
+        sig[0] = 1.0
+        levels = [sig[offs[n] : offs[n + 1]] for n in range(N_sig + 1)]
+        work = [None] + [np.empty((d**m, nb)) for m in range(1, N_sig + 1)]
+        # row k holds dx / k; row 1 is the step's increment dx itself
+        dx_over = np.empty((max(N_sig, 1) + 1, d, nb))
+        dx = dx_over[1]
+        x = np.empty((d, nb))
+        x[:] = np.asarray(spec.x0, dtype=np.float64)[:, None]
+        z = np.empty((nb, d))
+        dW = np.empty((d, nb))
+        coef = np.zeros((len(pairings), nb))
+        tmp = np.empty(nb)
+        drift, acoef = coef[:d], coef[d:]
+        if diag_only:
+            neg = np.empty((d, nb), dtype=bool)
+        else:
+            amat = np.empty((nb, d, d))
+            jitter = 1e-14 * np.eye(d)
         for _ in range(steps):
-            dW = rng.standard_normal((nb, d)) * sqrt_dt
-            drift = np.column_stack([sig @ bv for bv in b_vecs])
+            rng.standard_normal(out=z)
+            np.multiply(z.T, sqrt_dt, out=dW)
+            _pair(pairings, sig, coef, tmp)
+            np.multiply(drift, dt, out=dx)
             if diag_only:
-                dx = drift * dt
-                for i in range(d):
-                    a_ii = sig @ a_vecs[i][i]
-                    neg = a_ii < 0
-                    clamped += int(np.count_nonzero(neg))
-                    np.maximum(a_ii, 0.0, out=a_ii)
-                    dx[:, i] += np.sqrt(a_ii) * dW[:, i]
+                np.less(acoef, 0.0, out=neg)
+                clamped += int(np.count_nonzero(neg))
+                np.maximum(acoef, 0.0, out=acoef)
+                np.sqrt(acoef, out=acoef)
+                np.multiply(acoef, dW, out=acoef)
+                np.add(dx, acoef, out=dx)
             else:
-                amat = np.empty((nb, d, d))
-                for i in range(d):
-                    for j in range(d):
-                        amat[:, i, j] = sig @ a_vecs[i][j]
-                amat += 1e-14 * np.eye(d)
+                amat.reshape(nb, d * d)[:] = acoef.T
+                amat += jitter
                 root = np.linalg.cholesky(amat)
-                dx = drift * dt + np.einsum("nij,nj->ni", root, dW)
-            sig = _chen_apply(sig, _segment_signature_block(dx, tab), tab)
-            x = x + dx
+                dx += np.einsum("nij,jn->in", root, dW)
+            for k in range(2, N_sig + 1):
+                np.divide(dx, k, out=dx_over[k])
+            _chen_exp_step(levels, dx_over, work)
+            np.add(x, dx, out=x)
         lo = blk * cfg.block_size
-        finals[lo : lo + nb] = x
-        sig_sum += sig.sum(axis=0)
-        sig_sumsq += (sig**2).sum(axis=0)
+        finals[lo : lo + nb] = x.T
+        blk_mean = sig.sum(axis=1) / nb
+        blk_m2 = np.square(sig - blk_mean[:, None]).sum(axis=1)
+        delta = blk_mean - mean
+        mean += delta * (nb / (lo + nb))
+        m2 += blk_m2 + delta**2 * (lo * nb / (lo + nb))
         if functional is not None:
-            fn_samples.append(np.asarray(functional(sig)))
+            fn_samples.append(np.asarray(functional(sig.T)))
 
     n = cfg.n_paths
-    mean = sig_sum / n
-    var = np.maximum(sig_sumsq - n * mean**2, 0.0) / max(n - 1, 1)
-    se = np.sqrt(var / n)
+    se = np.sqrt(m2 / max(n - 1, 1) / n)
     fn_est = estimate(np.concatenate(fn_samples)) if functional is not None else None
     return SigSimResult(
         sig_mean=mean, sig_se=se, finals=finals, functional=fn_est, clamped_steps=clamped

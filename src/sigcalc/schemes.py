@@ -298,11 +298,14 @@ def _transport_values_mp(R_fn, u0, cfg: SchemeConfig) -> list[complex]:
         for _ in range(cfg.N):
             u = u + R_fn(u) * inv_m
             g.append(mp.exp(u[0]))
+        # each power once, by the same ** as per term; binomials exact
+        lam_pow = [lam_mp**m for m in range(cfg.N + 1)]
+        rest_pow = [one_minus**k for k in range(cfg.N + 1)]
         out = []
         for n in range(cfg.N + 1):
+            binom = [mp.mpf(math.comb(n, m)) for m in range(n + 1)]
             v = mp.fsum(
-                mp.binomial(n, m) * one_minus ** (n - m) * lam_mp**m * g[m]
-                for m in range(n + 1)
+                binom[m] * rest_pow[n - m] * lam_pow[m] * g[m] for m in range(n + 1)
             )
             out.append(complex(v))
     return out

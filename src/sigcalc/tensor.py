@@ -312,12 +312,6 @@ class TensorCoeffs:
         np.add.at(out, tab.cc_k, self.coeffs[tab.cc_i] * other.coeffs[tab.cc_j])
         return TensorCoeffs(self.d, self.N, out)
 
-    def shuffle_power(self, k: int) -> "TensorCoeffs":
-        out = TensorCoeffs.unit(self.d, self.N)
-        for _ in range(k):
-            out = out.shuffle(self)
-        return out
-
     def shuffle_exp(self) -> "TensorCoeffs":
         """exp of this element under the shuffle product."""
         bar = self.copy()

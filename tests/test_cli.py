@@ -1,6 +1,8 @@
 """CLI commands: artifacts, checks, and exit codes."""
 
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -191,3 +193,20 @@ def test_report_and_writers(tmp_path):
     svg = tmp_path / "t.svg"
     write_svg(str(svg), [("series", [0.0, 1.0], [1.0, 2.0])], title="t", xlabel="x", ylabel="y")
     assert svg.read_text().startswith("<svg")
+
+
+def test_thread_cap_warns_when_it_cannot_take_effect(monkeypatch, caplog):
+    from sigcalc.cli import _apply_thread_cap
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.delenv("SIGCALC_THREADS", raising=False)
+    with caplog.at_level(logging.WARNING, logger="sigcalc.cli"):
+        assert _apply_thread_cap() is None
+    assert caplog.records == []
+
+    monkeypatch.setenv("SIGCALC_THREADS", "2")
+    with caplog.at_level(logging.WARNING, logger="sigcalc.cli"):
+        assert _apply_thread_cap() is None
+    assert len(caplog.records) == 1
+    msg = caplog.records[0].getMessage()
+    assert "SIGCALC_THREADS=2" in msg and "threadpoolctl" in msg

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sigcalc.montecarlo import (
     McEstimate,
     SimConfig,
+    _chen_exp_step,
     estimate,
     gauss_hermite_expectation,
     simulate_1d,
@@ -15,7 +18,8 @@ from sigcalc.montecarlo import (
 )
 from sigcalc.operators import black_scholes_spec, brownian_spec
 from sigcalc.powerseries import brownian_model, jacobi_model
-from sigcalc.tensor import TensorCoeffs, all_words, word_index
+from sigcalc.signature import segment_signature
+from sigcalc.tensor import TensorCoeffs, all_words, tables, word_index
 
 
 def test_estimate_and_within():
@@ -87,19 +91,77 @@ def test_black_scholes_lognormal_moments():
     assert abs(m2.mean.real - ref2) < 4.0 * m2.std_error + 1e-3
 
 
-def test_expected_brownian_signature_vs_closed_form():
+def _check_brownian_expected_signature(cov, dt, seed):
+    # exp_(x)(T/2 sum_ij cov_ij e_i e_j), word by word, at 4 se + 5e-3
     d, N, T = 2, 3, 1.0
-    spec = brownian_spec(d, N)
-    cfg = SimConfig(n_paths=60_000, dt=0.002, seed=7)
+    spec = brownian_spec(d, N, cov=cov)
+    cfg = SimConfig(n_paths=60_000, dt=dt, seed=seed)
     res = simulate_sigsde(spec, cfg, T=T, N_sig=N)
     gen = TensorCoeffs.zero(d, N)
-    for k in range(d):
-        gen[(k + 1, k + 1)] = T / 2.0
+    for i in range(d):
+        for j in range(d):
+            gen[(i + 1, j + 1)] = T / 2.0 * cov[i, j]
     expect = gen.concat_exp()
     for i, w in enumerate(all_words(d, N)):
         se = max(res.sig_se[i], 1e-12)
         err = abs(res.sig_mean[i] - expect[w])
         assert err < 4.0 * se + 5e-3, (w, err, se)
+    assert res.clamped_steps == 0
+
+
+def test_expected_brownian_signature_vs_closed_form():
+    _check_brownian_expected_signature(np.eye(2), dt=0.002, seed=7)
+
+
+@seed(20240817)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(1, 4),
+    nb=st.integers(1, 4),
+    data=st.data(),
+)
+def test_fused_chen_step_matches_concat(d, N, nb, data):
+    """One in-place Horner step on the levels-first layout equals, path by
+    path, the concatenation product with the segment's signature."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    coords = st.lists(unit, min_size=d, max_size=d)
+    # group-like start: the signature of a random two-segment path
+    starts = [
+        segment_signature(np.array(data.draw(coords)), N).concat(
+            segment_signature(np.array(data.draw(coords)), N)
+        )
+        for _ in range(nb)
+    ]
+    dx = np.array([data.draw(coords) for _ in range(nb)]).T
+    offs = tables(d, N).offsets
+    sig = np.array([s.coeffs.real for s in starts]).T.copy()
+    levels = [sig[offs[n] : offs[n + 1]] for n in range(N + 1)]
+    work = [None] + [np.empty((d**m, nb)) for m in range(1, N + 1)]
+    dx_over = np.array([dx] + [dx / k for k in range(1, N + 1)])
+    _chen_exp_step(levels, dx_over, work)
+    for p in range(nb):
+        ref = starts[p].concat(segment_signature(dx[:, p], N)).coeffs
+        assert np.max(np.abs(sig[:, p] - ref)) <= 1e-12, (p, sig[:, p] - ref)
+
+
+def test_sigsde_is_seed_deterministic_across_partial_blocks():
+    spec = black_scholes_spec(0.3, 1.0, 3)
+    for cfg in (
+        SimConfig(n_paths=600, dt=0.02, seed=11),
+        SimConfig(n_paths=1000, dt=0.02, seed=11, block_size=256),
+    ):
+        a = simulate_sigsde(spec, cfg, T=1.0, N_sig=3)
+        b = simulate_sigsde(spec, cfg, T=1.0, N_sig=3)
+        for field in ("sig_mean", "sig_se", "finals"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def test_expected_correlated_brownian_signature_vs_closed_form():
+    # an off-diagonal diffusion takes the Cholesky branch; constant diffusion
+    # makes Euler increments exact, so a coarse step is fine
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    _check_brownian_expected_signature(cov, dt=0.01, seed=13)
 
 
 def test_gauss_hermite_closed_forms():
