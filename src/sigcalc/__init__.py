@@ -1,5 +1,5 @@
 """Coefficient calculus for signature-driven and polynomial diffusions:
-truncated tensor algebra, path signatures, Riccati/transport/linear solvers
+truncated tensor algebra, path signatures, Riccati/transport/linear schemes
 and Monte-Carlo cross-checks."""
 
 from .tensor import Partition, TensorCoeffs, word_index, index_word

@@ -31,8 +31,8 @@ def _apply_thread_cap() -> int | None:
     raw = os.environ.get("SIGCALC_THREADS")
     if not raw:
         return None
-    cap = max(1, int(raw))
     try:
+        cap = max(1, int(raw))
         import threadpoolctl
 
         threadpoolctl.threadpool_limits(cap)

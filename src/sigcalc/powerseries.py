@@ -357,21 +357,12 @@ def log_conv(u: Seq) -> Seq:
 def linear_matrix_1d(m: Model1D, K: int) -> np.ndarray:
     """Matrix of the linear operator on monomials 1, x, ..., x^K.
 
-    Entry (i, j) = j b_{i-j+1} + j(j-1)/2 a_{i-j+2}; column j reproduces
-    L applied to the j-th monomial.
+    Column j holds the coefficients of L_pow applied to x^j.
     """
     mm = m if m.K == K else m.with_truncation(K)
     G = np.zeros((K + 1, K + 1), dtype=np.complex128)
     for j in range(K + 1):
-        for i in range(K + 1):
-            v = 0.0 + 0.0j
-            bi = i - (j - 1)
-            if j >= 1 and 0 <= bi <= K:
-                v += j * mm.b.coeffs[bi]
-            ai = i - (j - 2)
-            if j >= 2 and 0 <= ai <= K:
-                v += 0.5 * j * (j - 1) * mm.a.coeffs[ai]
-            G[i, j] = v
+        G[:, j] = L_pow(Seq.delta(j, K), mm).coeffs
     if np.all(G.imag == 0):
         return G.real.copy()
     return G

@@ -210,3 +210,11 @@ def test_thread_cap_warns_when_it_cannot_take_effect(monkeypatch, caplog):
     assert len(caplog.records) == 1
     msg = caplog.records[0].getMessage()
     assert "SIGCALC_THREADS=2" in msg and "threadpoolctl" in msg
+
+    # a value that is not an integer warns the same way instead of raising
+    caplog.clear()
+    monkeypatch.setenv("SIGCALC_THREADS", "abc")
+    with caplog.at_level(logging.WARNING, logger="sigcalc.cli"):
+        assert _apply_thread_cap() is None
+    assert len(caplog.records) == 1
+    assert "SIGCALC_THREADS=abc" in caplog.records[0].getMessage()
