@@ -6,8 +6,11 @@ ARTIFACTS ?= artifacts
 install:
 	$(PYTHON) -m pip install --no-build-isolation -e .[test]
 
+# The exit status is pytest's, not tee's; POSIX sh has no pipefail, so the
+# status travels out of the pipeline on file descriptor 3.
 test:
-	$(PYTHON) -m pytest -v 2>&1 | tee test_output.txt
+	@exec 4>&1; status=$$( { { $(PYTHON) -m pytest -v 2>&1; echo $$? >&3; } \
+		| tee test_output.txt >&4; } 3>&1 ); exit $$status
 
 acceptance:
 	$(PYTHON) -m pytest tests/test_acceptance.py -v

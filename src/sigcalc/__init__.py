@@ -20,10 +20,7 @@ from .powerseries import (
     Model1D,
     R_pow,
     L_pow,
-    R_sig,
-    L_sig,
     exp_conv,
-    log_conv,
     linear_matrix_1d,
     to_factorial_basis,
     from_factorial_basis,

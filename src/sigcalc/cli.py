@@ -67,8 +67,9 @@ def main():
 def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     """Laplace functional of an exponentiated Brownian motion.
 
-    Solves the quadratic coefficient ODE for E[exp(-c y0 e^(B_t))] in both
-    coefficient bases and compares against Gaussian quadrature.
+    Solves the quadratic coefficient ODE for E[exp(-c y0 e^(B_t))] twice, in
+    the monomial basis of the scalar calculus and in the factorial basis of
+    the d=1 tensor algebra, and compares against Gaussian quadrature.
     """
     report = RunReport(
         "gbm-laplace", {"c": c_, "y0": y0, "T": T, "K": K, "steps": steps}
@@ -81,10 +82,10 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
         u0.coeffs,
         cfg,
     )
-    u0_sig = powerseries.to_factorial_basis(u0)
+    spec = operators.brownian_spec(1, K)
     traj2, vals2 = schemes.scheme1_riccati(
-        lambda y: powerseries.R_sig(powerseries.Seq(K, y), model).coeffs,
-        u0_sig.coeffs,
+        lambda y: operators.R_op(tensor.TensorCoeffs(1, K, y), spec).coeffs,
+        powerseries.to_factorial_basis(u0).coeffs,
         cfg,
     )
 
@@ -142,7 +143,7 @@ def cmd_bm_quartic(T, K, N, M, riccati_k, out, check):
         "bm-quartic", {"T": T, "K": K, "N": N, "M": Ms, "riccati_K": rk}
     )
     model = powerseries.brownian_model(K)
-    u0 = powerseries.to_factorial_basis(powerseries.quartic_initial(K))
+    u0 = powerseries.quartic_initial(K)
 
     times = [T * n / N for n in range(N + 1)]
     refs = [
@@ -156,7 +157,7 @@ def cmd_bm_quartic(T, K, N, M, riccati_k, out, check):
     for m_count in Ms:
         cfg = schemes.SchemeConfig(T=T, N=N, M=m_count, steps=1)
         traj, vals = schemes.scheme2_transport(
-            lambda y: powerseries.R_sig(powerseries.Seq(K, y), model).coeffs,
+            lambda y: powerseries.R_pow(powerseries.Seq(K, y), model).coeffs,
             u0.coeffs,
             cfg,
         )
@@ -177,11 +178,10 @@ def cmd_bm_quartic(T, K, N, M, riccati_k, out, check):
     ricc = {}
     for kk in rk:
         mk = powerseries.brownian_model(kk)
-        u0k = powerseries.to_factorial_basis(powerseries.quartic_initial(kk))
         cfgk = schemes.SchemeConfig(T=T, steps=max(1000, N * 10))
         trajk, valsk = schemes.scheme1_riccati(
-            lambda y: powerseries.R_sig(powerseries.Seq(kk, y), mk).coeffs,
-            u0k.coeffs,
+            lambda y: powerseries.R_pow(powerseries.Seq(kk, y), mk).coeffs,
+            powerseries.quartic_initial(kk).coeffs,
             cfgk,
         )
         ricc[kk] = (trajk, valsk)
@@ -346,9 +346,19 @@ def algebra():
     """Tensor-algebra utilities on coefficient text files."""
 
 
-def _load_coeffs(path: str, d: int | None, N: int | None) -> tensor.TensorCoeffs:
+def _read_input(path: str, parse):
+    """parse(text) of a file; a malformed file ends the command with a
+    one-line error naming it, not a traceback."""
     with open(path) as fh:
-        return tensor.TensorCoeffs.from_text(fh.read(), d=d, N=N)
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
+
+
+def _load_coeffs(path: str, d: int | None, N: int | None) -> tensor.TensorCoeffs:
+    return _read_input(path, lambda text: tensor.TensorCoeffs.from_text(text, d=d, N=N))
 
 
 _dim_opts = [
@@ -443,8 +453,7 @@ def algebra_log(a_path, d, N, out, check):
 @click.option("--check", is_flag=True)
 def algebra_sig(path_csv, level, extend, out, check):
     """Truncated signature of a sampled path."""
-    with open(path_csv) as fh:
-        path = signature.PiecewisePath.from_csv(fh.read())
+    path = _read_input(path_csv, signature.PiecewisePath.from_csv)
     if extend:
         path = signature.time_extend(path)
     sig = signature.path_signature(path, level)

@@ -2,20 +2,26 @@
 
 States are monomial coefficient sequences u = (u_0, ..., u_K) representing
 h_u(x) = sum u_k x^k.  The product is the Cauchy convolution, derivatives act
-as index shifts with combinatorial weights, and the quadratic/linear
-operators mirror their tensor-algebra counterparts.  A second basis rescales
-u_k by k!; it matches the coefficients obtained when the same scalar model is
-written on the signature of the path itself.
+as index shifts with small integer weights (exact at any precision), and the
+quadratic/linear operators mirror their tensor-algebra counterparts.  This is
+the only scalar basis here: the signature (factorial) basis, u_k -> k! u_k,
+is the d=1 case of ``sigcalc.tensor`` and ``sigcalc.operators``, reached
+through ``to_factorial_basis``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _real_if_exact(c: np.ndarray) -> np.ndarray:
+    """Real part of a complex array whose imaginary part is all zero."""
+    if c.dtype.kind == "c" and not np.any(c.imag):
+        return c.real
+    return c
 
 
 @dataclass
@@ -92,10 +98,24 @@ class Seq:
         return Seq(self.K, -self.coeffs)
 
     def conv(self, other: "Seq") -> "Seq":
-        """Cauchy product truncated at degree K."""
+        """Cauchy product truncated at degree K.
+
+        When either factor holds objects (extended-precision scalars), only
+        the products of nonzero pairs with index sum <= K are formed, and a
+        complex factor with zero imaginary part enters as real, so a real
+        state stays real.
+        """
         self._check(other)
-        full = np.convolve(self.coeffs, other.coeffs)
-        return Seq(self.K, full[: self.K + 1])
+        u, v = self.coeffs, other.coeffs
+        if u.dtype != object and v.dtype != object:
+            return Seq(self.K, np.convolve(u, v)[: self.K + 1])
+        u, v = _real_if_exact(u), _real_if_exact(v)
+        iu, iv = np.flatnonzero(u != 0), np.flatnonzero(v != 0)
+        a, b = np.nonzero(iu[:, None] + iv[None, :] <= self.K)
+        i, j = iu[a], iv[b]
+        out = np.zeros(self.K + 1, dtype=object)
+        np.add.at(out, i + j, u[i] * v[j])
+        return Seq(self.K, out)
 
     def bracket1(self) -> "Seq":
         """Coefficients of h_u': u_k -> (k+1) u_{k+1}."""
@@ -115,22 +135,10 @@ class Seq:
             acc = acc * x + c
         return acc
 
-    def to_list(self) -> list[complex]:
-        return [complex(c) for c in self.coeffs]
-
-
-_factorial_cache: dict[int, np.ndarray] = {}
-
 
 def _factorial_weights(K: int) -> np.ndarray:
-    """Read-only vector (0!, 1!, ..., K!) in float64, built once per K (a
-    race between threads only builds it twice)."""
-    got = _factorial_cache.get(K)
-    if got is None:
-        got = np.array([math.factorial(k) for k in range(K + 1)], dtype=np.float64)
-        got.setflags(write=False)
-        _factorial_cache[K] = got
-    return got
+    """(0!, 1!, ..., K!) in float64."""
+    return np.array([math.factorial(k) for k in range(K + 1)], dtype=np.float64)
 
 
 def to_factorial_basis(u: Seq) -> Seq:
@@ -141,94 +149,6 @@ def to_factorial_basis(u: Seq) -> Seq:
 def from_factorial_basis(u: Seq) -> Seq:
     """Rescale u_k -> u_k / k! (signature-coefficient to monomial basis)."""
     return Seq(u.K, u.coeffs / _factorial_weights(u.K))
-
-
-_binom_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_binom_mp_cache: dict[int, np.ndarray] = {}
-_binom_lock = threading.Lock()
-
-
-def _binom_triplets(K: int):
-    """Index arrays (k, n-k, n) with weights C(n, k) for n <= K."""
-    got = _binom_cache.get(K)
-    if got is None:
-        with _binom_lock:
-            got = _binom_cache.get(K)
-            if got is None:
-                ks, ms, ws = [], [], []
-                for n in range(K + 1):
-                    for k in range(n + 1):
-                        ks.append(k)
-                        ms.append(n - k)
-                        ws.append(math.comb(n, k))
-                got = (
-                    np.array(ks, dtype=np.int64),
-                    np.array(ms, dtype=np.int64),
-                    np.array(ws, dtype=np.float64),
-                )
-                _binom_cache[K] = got
-    return got
-
-
-def _binom_weights_mp(K: int) -> np.ndarray:
-    """The float64 weights of ``_binom_triplets(K)`` as mpmath numbers.
-
-    Each is converted exactly (53 bits), whatever the working precision, so
-    a product with an mpmath number rounds exactly as the float weight's
-    product does.  Equal weights share one object.
-    """
-    got = _binom_mp_cache.get(K)
-    if got is None:
-        ws = _binom_triplets(K)[2]
-        with _binom_lock:
-            got = _binom_mp_cache.get(K)
-            if got is None:
-                from mpmath import mp
-                from mpmath.libmp import from_float
-
-                exact = {w: mp.make_mpf(from_float(w)) for w in set(ws.tolist())}
-                got = np.array([exact[w] for w in ws.tolist()], dtype=object)
-                got.setflags(write=False)
-                _binom_mp_cache[K] = got
-    return got
-
-
-def _real_if_exact(c: np.ndarray) -> np.ndarray:
-    """Real part of a complex array whose imaginary part is all zero."""
-    if c.dtype.kind == "c" and not np.any(c.imag):
-        return c.real
-    return c
-
-
-def _all_mpmath(c: np.ndarray) -> bool:
-    from mpmath import mp
-
-    return all(isinstance(x, (mp.mpf, mp.mpc)) for x in c)
-
-
-def binom_conv(u: Seq, v: Seq) -> Seq:
-    """Binomial convolution (u * v)_n = sum_k C(n,k) u_k v_{n-k}.
-
-    Only terms whose two factors are nonzero are formed.  When either
-    factor holds objects (extended-precision scalars), a complex factor with
-    zero imaginary part enters as real, so real inputs give real outputs;
-    the products are the real parts of the complex ones, bit for bit.
-    """
-    u._check(v)
-    ks, ms, ws = _binom_triplets(u.K)
-    uc, vc = u.coeffs, v.coeffs
-    if uc.dtype == object or vc.dtype == object:
-        uc, vc = _real_if_exact(uc), _real_if_exact(vc)
-    # skip structurally zero terms: K+1 comparisons per factor, gathered
-    # through the triplet indices, instead of one per (k, n-k) pair
-    nzu = uc != 0
-    keep = nzu[ks] & (vc != 0)[ms]
-    if uc.dtype == object and _all_mpmath(uc[nzu]):
-        ws = _binom_weights_mp(u.K)
-    ks, ms = ks[keep], ms[keep]
-    out = np.zeros(u.K + 1, dtype=np.result_type(uc, vc))
-    np.add.at(out, ks + ms, ws[keep] * uc[ks] * vc[ms])
-    return Seq(u.K, out)
 
 
 @dataclass
@@ -266,29 +186,6 @@ class Model1D:
             state_interval=self.state_interval,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "b": [float(c.real) for c in self.b.coeffs],
-                "a": [float(c.real) for c in self.a.coeffs],
-                "x0": self.x0,
-                "K": self.K,
-                "name": self.name,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Model1D":
-        data = json.loads(text)
-        K = int(data["K"])
-        return cls(
-            b=Seq.from_list(data["b"], K=K),
-            a=Seq.from_list(data["a"], K=K),
-            x0=float(data["x0"]),
-            name=data.get("name", "model"),
-        )
-
 
 def R_pow(u: Seq, m: Model1D) -> Seq:
     """Quadratic operator in the monomial basis:
@@ -303,28 +200,6 @@ def L_pow(u: Seq, m: Model1D) -> Seq:
     return m.b.conv(u.bracket1()) + 0.5 * m.a.conv(u.bracket2())
 
 
-def R_sig(u: Seq, m: Model1D) -> Seq:
-    """Quadratic operator in the factorial basis.
-
-    Shifts become plain index drops and convolutions pick up binomial
-    weights; equivalent to conjugating R_pow by the basis change.
-    """
-    u1 = Seq(u.K, np.concatenate([u.coeffs[1:], [0.0]]))
-    u2 = Seq(u.K, np.concatenate([u.coeffs[2:], [0.0, 0.0]]))
-    bf = to_factorial_basis(m.b)
-    af = to_factorial_basis(m.a)
-    return binom_conv(bf, u1) + 0.5 * binom_conv(af, u2 + binom_conv(u1, u1))
-
-
-def L_sig(u: Seq, m: Model1D) -> Seq:
-    """Linear operator in the factorial basis."""
-    u1 = Seq(u.K, np.concatenate([u.coeffs[1:], [0.0]]))
-    u2 = Seq(u.K, np.concatenate([u.coeffs[2:], [0.0, 0.0]]))
-    bf = to_factorial_basis(m.b)
-    af = to_factorial_basis(m.a)
-    return binom_conv(bf, u1) + 0.5 * binom_conv(af, u2)
-
-
 def exp_conv(u: Seq) -> Seq:
     """exp under the Cauchy product: coefficients of exp(h_u)."""
     bar = u.copy()
@@ -336,22 +211,6 @@ def exp_conv(u: Seq) -> Seq:
         term = term.conv(bar) * (1.0 / k)
         acc = acc + term
     return acc * np.exp(scalar)
-
-
-def log_conv(u: Seq) -> Seq:
-    """Inverse of exp_conv; needs a nonzero constant term."""
-    scalar = u.coeffs[0]
-    if scalar == 0:
-        raise ValueError("power-series logarithm needs a nonzero constant term")
-    bar = u * (1.0 / scalar)
-    bar.coeffs[0] = 0.0
-    acc = Seq.zero(u.K)
-    term = Seq.delta(0, u.K)
-    for k in range(1, u.K + 1):
-        term = term.conv(bar)
-        acc = acc + term * ((-1.0) ** (k - 1) / k)
-    acc.coeffs[0] = np.log(scalar)
-    return acc
 
 
 def linear_matrix_1d(m: Model1D, K: int) -> np.ndarray:

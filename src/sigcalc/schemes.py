@@ -150,9 +150,11 @@ def scheme2_transport(
     lam > 1 the weights alternate in sign and their magnitudes sum to
     (2 lam - 1)^n, so the mixture cancels roughly n log10(2 lam - 1) digits;
     it is then evaluated in software arbitrary precision with exactly
-    represented weights (rounding the weights themselves is enough to
-    destroy the cancellation).  R_fn must preserve the dtype of its input
-    for that path to work; the operators in this package do.
+    represented weights, in the mixture and inside R (rounding the weights
+    themselves is enough to destroy the cancellation).  On that path R_fn
+    receives an object array of mpmath numbers and must return one: R_pow
+    does; R_op does not (TensorCoeffs holds complex128), and a float result
+    raises TypeError.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value
@@ -248,7 +250,13 @@ def _transport_values_mp(R_fn, u0, cfg: SchemeConfig) -> list[complex]:
         inv_m = mp.mpf(1) / cfg.M
         g = [mp.exp(u[0])]
         for _ in range(cfg.N):
-            u = u + R_fn(u) * inv_m
+            r = R_fn(u)
+            if getattr(r, "dtype", None) != object:
+                raise TypeError(
+                    f"R_fn returned {getattr(r, 'dtype', type(r))}, not an object "
+                    "array: at lam > 1 R must run in the mixture's mpmath precision"
+                )
+            u = u + r * inv_m
             g.append(mp.exp(u[0]))
         # each power once, by the same ** as per term; binomials exact
         lam_pow = [lam_mp**m for m in range(cfg.N + 1)]

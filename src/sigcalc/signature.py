@@ -51,16 +51,26 @@ class PiecewisePath:
 
     @classmethod
     def from_csv(cls, text: str) -> "PiecewisePath":
-        lines = [l.strip() for l in text.splitlines() if l.strip()]
+        lines = [
+            (i, l.strip()) for i, l in enumerate(text.splitlines(), 1) if l.strip()
+        ]
         if not lines:
             raise ValueError("empty path file")
-        header = lines[0].split(",")
+        header = lines[0][1].split(",")
         if header[0] != "t" or any(
             h != f"x{i}" for i, h in enumerate(header[1:], start=1)
         ):
-            raise ValueError(f"bad path header: {lines[0]!r}")
-        rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
-        arr = np.asarray(rows)
+            raise ValueError(f"bad path header: {lines[0][1]!r}")
+        rows = []
+        for i, line in lines[1:]:
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"line {i} has {len(fields)} fields, the header "
+                    f"{len(header)}: {line!r}"
+                )
+            rows.append([float(v) for v in fields])
+        arr = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
         return cls(times=arr[:, 0], points=arr[:, 1:])
 
 

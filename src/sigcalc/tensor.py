@@ -462,6 +462,11 @@ class TensorCoeffs:
             N = max((len(w) for w, _ in entries), default=0)
         out = cls(d, N)
         for word, c in entries:
+            if len(word) > N:
+                raise ValueError(
+                    f"word={','.join(map(str, word))} has length {len(word)}, "
+                    f"above the truncation level N={N}"
+                )
             out.coeffs[word_index(word, d)] += c
         return out
 

@@ -21,6 +21,24 @@ def random_tensor(rng, d, N, scale=0.5, complex_=True, zero_scalar=False):
     return out
 
 
+def d1_image(model):
+    """A scalar model as the d=1 signature model with the same dynamics.
+
+    Returns (spec, to_d1): a polynomial in x is a linear functional of the
+    signature of the one-dimensional path, with coefficients k! u_k, so the
+    drift and squared diffusion map through ``to_factorial_basis``, and so
+    does ``to_d1`` for states.
+    """
+    from sigcalc.operators import SdeSpec
+    from sigcalc.powerseries import to_factorial_basis
+
+    def to_d1(u):
+        return TensorCoeffs(1, u.K, to_factorial_basis(u).coeffs)
+
+    spec = SdeSpec(d=1, x0=[model.x0], b=[to_d1(model.b)], a=[[to_d1(model.a)]])
+    return spec, to_d1
+
+
 def random_path(rng, d, n_segments=4, scale=1.0):
     from sigcalc.signature import PiecewisePath
 

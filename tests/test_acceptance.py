@@ -11,15 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quartic_blowup_reference
+from conftest import d1_image, quartic_blowup_reference
 from sigcalc import montecarlo, operators, powerseries, schemes, signature, tensor
 from sigcalc.montecarlo import SimConfig, estimate, gauss_hermite_expectation
 from sigcalc.powerseries import (
     Model1D,
     R_pow,
-    R_sig,
     L_pow,
-    L_sig,
     Seq,
     brownian_model,
     exp_conv,
@@ -81,7 +79,7 @@ def test_quartic_transport_and_direct_ode(capsys):
     t0 = time.monotonic()
     K, N, T = 160, 80, 1.0
     model = brownian_model(K)
-    u0 = to_factorial_basis(quartic_initial(K))
+    u0 = quartic_initial(K)
     times = [T * n / N for n in range(N + 1)]
     refs = [
         gauss_hermite_expectation(
@@ -95,7 +93,7 @@ def test_quartic_transport_and_direct_ode(capsys):
     for M in (80, 160, 320):
         cfg = SchemeConfig(T=T, N=N, M=M, steps=1)
         traj, vals = scheme2_transport(
-            lambda y: R_sig(Seq(K, y), model).coeffs, u0.coeffs, cfg
+            lambda y: R_pow(Seq(K, y), model).coeffs, u0.coeffs, cfg
         )
         rel_errs[M] = max(
             abs(v.real - r) / abs(r) for v, r in zip(vals, refs)
@@ -114,10 +112,9 @@ def test_quartic_transport_and_direct_ode(capsys):
     ricc_refs = {}
     for Kd in (10, 20, 40):
         mk = brownian_model(Kd)
-        u0k = to_factorial_basis(quartic_initial(Kd))
         cfgk = SchemeConfig(T=2 * T, steps=8000)
         trajk, _ = scheme1_riccati(
-            lambda y: R_sig(Seq(Kd, y), mk).coeffs, u0k.coeffs, cfgk
+            lambda y: R_pow(Seq(Kd, y), mk).coeffs, quartic_initial(Kd).coeffs, cfgk
         )
         ricc_times[Kd] = trajk.explosion_time if trajk.status == "exploded" else None
         ricc_refs[Kd] = quartic_blowup_reference(Kd, 2 * T)
@@ -425,27 +422,29 @@ def test_randomized_algebraic_identities(capsys):
             ),
         )
 
-        # scalar calculus in both coefficient bases
+        # the scalar calculus is the d=1 tensor calculus in the factorial basis
         K = int(rng.integers(3, 21))
         m = Model1D(
             Seq(K, rng.standard_normal(K + 1) * (np.arange(K + 1) < 2)),
             Seq(K, rng.standard_normal(K + 1) * (np.arange(K + 1) < 3)),
             x0=float(rng.uniform(-1, 1)),
         )
-        v = Seq(K, rng.standard_normal(K + 1))
+        v = Seq(K, rng.standard_normal(K + 1))  # factorial-basis state
+        spec1, _ = d1_image(m)
+        v1 = TensorCoeffs(1, K, v.coeffs)
         check(
-            "R twin bases",
+            "R at d=1",
             np.allclose(
                 to_factorial_basis(R_pow(from_factorial_basis(v), m)).coeffs,
-                R_sig(v, m).coeffs,
+                operators.R_op(v1, spec1).coeffs,
                 atol=1e-8,
             ),
         )
         check(
-            "L twin bases",
+            "L at d=1",
             np.allclose(
                 to_factorial_basis(L_pow(from_factorial_basis(v), m)).coeffs,
-                L_sig(v, m).coeffs,
+                operators.L_op(v1, spec1).coeffs,
                 atol=1e-8,
             ),
         )
@@ -473,7 +472,7 @@ def test_brownian_mgf_high_accuracy(capsys):
         u0 = Seq.delta(1, K, theta)
         cfg = SchemeConfig(T=T, steps=1000)
         traj, vals = scheme1_riccati(
-            lambda y: R_sig(Seq(K, y), model).coeffs, u0.coeffs, cfg
+            lambda y: R_pow(Seq(K, y), model).coeffs, u0.coeffs, cfg
         )
         assert traj.status == "completed"
         worst = max(worst, abs(vals[-1] - math.exp(theta**2 * T / 2.0)))

@@ -168,6 +168,28 @@ def test_algebra_sig_command(runner, tmp_path, rng):
     assert abs(sig[()] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name,text,args,message",
+    [
+        ("w.txt", "word=1,2,1 re=1.0 im=0.0\n", ["exp", "--N", "2"], "word=1,2,1 has length 3"),
+        ("hdr.csv", "t,x1,x2\n", ["sig"], "at least two samples"),
+        ("rag.csv", "t,x1\n0,0\n1\n", ["sig"], "line 3 has 1 fields"),
+    ],
+    ids=["word-above-N", "header-only", "ragged-row"],
+)
+def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, args, message):
+    f = tmp_path / name
+    f.write_text(text)
+    opt = "--path" if args[0] == "sig" else "--a"
+    result = runner.invoke(
+        main, ["algebra", *args, opt, str(f), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, (IndexError, ValueError))
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and message in lines[0]
+
+
 def test_check_flag_fails_on_bad_check(tmp_path):
     # _finish must convert failed checks into a nonzero exit
     report = RunReport("unit", {})

@@ -1,19 +1,20 @@
-"""d=1 power-sequence calculus and its factorial-basis twin."""
+"""d=1 power-sequence calculus, and its image in the d=1 tensor algebra."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+from conftest import d1_image
+from sigcalc.operators import L_op, R_op
 from sigcalc.powerseries import (
     L_pow,
-    L_sig,
     Model1D,
     R_pow,
-    R_sig,
     Seq,
-    binom_conv,
     brownian_model,
     cubic_interval_model,
     exp_conv,
@@ -21,7 +22,6 @@ from sigcalc.powerseries import (
     gbm_laplace_initial,
     jacobi_model,
     linear_matrix_1d,
-    log_conv,
     mgf_initial,
     quartic_initial,
     shifted_jacobi_model,
@@ -53,42 +53,33 @@ def test_brackets_match_polynomial_derivatives(rng):
     assert np.allclose(u.bracket2().coeffs[: K - 1], d2, atol=1e-12)
 
 
-def test_binom_conv_definition(rng):
-    K = 8
-    u = random_seq(rng, K)
-    v = random_seq(rng, K)
-    got = binom_conv(u, v).coeffs
-    for n in range(K + 1):
-        expect = sum(
-            math.comb(n, k) * u.coeffs[k] * v.coeffs[n - k] for k in range(n + 1)
-        )
-        assert abs(got[n] - expect) < 1e-12
-
-
 def test_factorial_basis_roundtrip(rng):
     K = 15
     u = random_seq(rng, K)
     assert np.allclose(from_factorial_basis(to_factorial_basis(u)).coeffs, u.coeffs)
 
 
-def test_operator_twins_conjugate(rng):
-    # the factorial-basis operators are the monomial ones conjugated by the
-    # basis change
-    K = 14
-    model = Model1D(
-        b=Seq.from_list([0.1, -0.4, 0.2], K=K),
-        a=Seq.from_list([0.5, 0.1, 0.3], K=K),
-        x0=0.0,
-    )
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        u = random_seq(rng, K)
-        lhs = to_factorial_basis(R_pow(u, model))
-        rhs = R_sig(to_factorial_basis(u), model)
-        assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-10)
-        lhs_l = to_factorial_basis(L_pow(u, model))
-        rhs_l = L_sig(to_factorial_basis(u), model)
-        assert np.allclose(lhs_l.coeffs, rhs_l.coeffs, atol=1e-10)
+@seed(20240817)
+@settings(max_examples=60, deadline=None, database=None)
+@given(K=st.integers(2, 20), data=st.data())
+def test_scalar_calculus_is_the_d1_tensor_calculus(K, data):
+    # R_pow and L_pow are R_op and L_op at d=1, conjugated by u_k -> k! u_k
+    support = st.sets(st.integers(0, K), max_size=K + 1)
+    b_support, a_support = data.draw(support), data.draw(support)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def series(idx):
+        c = np.zeros(K + 1)
+        c[sorted(idx)] = rng.uniform(-1.0, 1.0, size=len(idx))
+        return Seq(K, c)
+
+    model = Model1D(b=series(b_support), a=series(a_support), x0=0.0)
+    spec, to_d1 = d1_image(model)
+    u = random_seq(rng, K)
+    for pow_op, op in ((R_pow, R_op), (L_pow, L_op)):
+        lhs = to_factorial_basis(pow_op(u, model)).coeffs
+        rhs = op(to_d1(u), spec).coeffs
+        assert np.max(np.abs(rhs - lhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 def test_R_pow_brownian_closed_form(rng):
@@ -121,13 +112,6 @@ def test_exp_conv_against_ode_recursion(rng):
     for _ in range(20):
         u = random_seq(rng, K)
         assert np.allclose(exp_conv(u).coeffs, exp_series_oracle(u.coeffs), atol=1e-10)
-
-
-def test_exp_log_conv_roundtrip(rng):
-    K = 12
-    for _ in range(20):
-        u = random_seq(rng, K)
-        assert np.allclose(log_conv(exp_conv(u)).coeffs, u.coeffs, atol=1e-9)
 
 
 def test_linear_matrix_1d_columns(rng):
@@ -199,14 +183,6 @@ def test_initial_data_constructors():
     assert np.count_nonzero(m.coeffs) == 1
 
 
-def test_model_json_roundtrip():
-    model = jacobi_model(6, x0=0.25)
-    back = Model1D.from_json(model.to_json())
-    assert back.K == model.K and back.x0 == model.x0
-    assert np.allclose(back.b.coeffs, model.b.coeffs)
-    assert np.allclose(back.a.coeffs, model.a.coeffs)
-
-
 def test_seq_object_dtype_passthrough():
     # extended-precision coefficients survive the operator pipeline
     from mpmath import mp, mpf
@@ -215,14 +191,14 @@ def test_seq_object_dtype_passthrough():
     model = brownian_model(K)
     with mp.workdps(50):
         u = Seq(K, np.array([mpf(0)] * 4 + [mpf(-1) / 24] + [mpf(0)] * 4, dtype=object))
-        out = R_sig(to_factorial_basis_obj(u), model)
+        out = R_pow(u, model)
         assert out.coeffs.dtype == object
-        ref = R_sig(to_factorial_basis(Seq.from_list([0, 0, 0, 0, -1.0 / 24], K=K)), model)
+        ref = R_pow(Seq.from_list([0, 0, 0, 0, -1.0 / 24], K=K), model)
         got = np.array([complex(z) for z in out.coeffs])
         assert np.allclose(got, ref.coeffs, atol=1e-15)
 
 
-@pytest.mark.parametrize("op", [R_sig, L_sig])
+@pytest.mark.parametrize("op", [R_pow, L_pow])
 def test_real_mp_state_stays_real(op, rng):
     # a real model on a real mpmath state must not promote it to mpc, and
     # the result must agree with the complex128 path
@@ -243,30 +219,3 @@ def test_real_mp_state_stays_real(op, rng):
         ref = op(Seq(K, vals), model).coeffs
         got = np.array([float(z) for z in out])
         assert np.allclose(got, ref.real, rtol=1e-13, atol=1e-13)
-
-
-def test_mp_binom_conv_weights_exact_at_any_precision():
-    # the first extended-precision convolution at a truncation may run at
-    # low precision; later ones must still use the float64 weights exactly.
-    # K=61 is used by no other test, so the first call below comes first.
-    # C(61, 30) ~ 2.3e17 needs more than 37 bits (dps=10) and 53 bits.
-    from mpmath import mp, mpf
-
-    K = 61
-    with mp.workdps(10):
-        u = Seq(K, np.array([mpf(1) / (k + 3) for k in range(K + 1)], dtype=object))
-        binom_conv(u, u)
-    with mp.workdps(60):
-        u = Seq(K, np.array([mpf(1) / (k + 3) for k in range(K + 1)], dtype=object))
-        v = Seq(K, np.array([mpf(2) / (k + 7) for k in range(K + 1)], dtype=object))
-        got = binom_conv(u, v).coeffs
-        for n in (K, 40, 7):
-            ref = 0
-            for k in range(n + 1):
-                ref = ref + (mpf(float(math.comb(n, k))) * u.coeffs[k]) * v.coeffs[n - k]
-            assert got[n] == ref
-
-
-def to_factorial_basis_obj(u):
-    w = np.array([math.factorial(k) for k in range(u.K + 1)], dtype=object)
-    return Seq(u.K, u.coeffs * w)

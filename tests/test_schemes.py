@@ -1,6 +1,5 @@
 """ODE integration, the three value schemes, and the matrix exponential."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ import scipy.linalg
 
 from conftest import quartic_blowup_reference
 from sigcalc import operators, powerseries, tensor
-from sigcalc.powerseries import Seq, brownian_model, R_sig, to_factorial_basis
+from sigcalc.powerseries import R_pow, Seq, brownian_model, to_factorial_basis
 from sigcalc.schemes import (
     SchemeConfig,
     matrix_exp,
@@ -22,7 +21,13 @@ from sigcalc.schemes import (
 
 def brownian_R(K):
     model = brownian_model(K)
-    return lambda y: R_sig(Seq(K, y), model).coeffs
+    return lambda y: R_pow(Seq(K, y), model).coeffs
+
+
+def brownian_R_d1(K):
+    """The same field in the factorial basis: R_op on the d=1 tensor algebra."""
+    spec = operators.brownian_spec(1, K)
+    return lambda y: operators.R_op(tensor.TensorCoeffs(1, K, y), spec).coeffs
 
 
 # -- ODE kernel ----------------------------------------------------------------
@@ -120,12 +125,9 @@ def test_scheme1_quartic_explosion_order():
     # [0, 5], K=16 blows up at 2.45)
     t_exp = {}
     for K in (10, 20, 40):
-        model = brownian_model(K)
-        u0 = to_factorial_basis(powerseries.quartic_initial(K))
+        u0 = powerseries.quartic_initial(K)
         cfg = SchemeConfig(T=2.0, steps=4000)
-        traj, _ = scheme1_riccati(
-            lambda y: R_sig(Seq(K, y), model).coeffs, u0.coeffs, cfg
-        )
+        traj, _ = scheme1_riccati(brownian_R(K), u0.coeffs, cfg)
         assert traj.status == "exploded"
         t_exp[K] = traj.explosion_time
     assert t_exp[40] < t_exp[20] < t_exp[10]
@@ -136,16 +138,11 @@ def test_scheme1_explosion_time_is_basis_free(K):
     # the factorial basis scales the coefficient of x^k by k! (40! ~ 8e47),
     # so a test on the size of the coordinates would report a different
     # time in each basis; the time must be the solution's own, in both
-    model = brownian_model(K)
     u0 = powerseries.quartic_initial(K)
     cfg = SchemeConfig(T=2.0, steps=4000)
     h = cfg.T / cfg.steps
-    mono, _ = scheme1_riccati(
-        lambda y: powerseries.R_pow(Seq(K, y), model).coeffs, u0.coeffs, cfg
-    )
-    fact, _ = scheme1_riccati(
-        lambda y: R_sig(Seq(K, y), model).coeffs, to_factorial_basis(u0).coeffs, cfg
-    )
+    mono, _ = scheme1_riccati(brownian_R(K), u0.coeffs, cfg)
+    fact, _ = scheme1_riccati(brownian_R_d1(K), to_factorial_basis(u0).coeffs, cfg)
     assert mono.status == fact.status == "exploded"
     assert abs(mono.explosion_time - fact.explosion_time) <= 2 * h + 1e-12
     ref = quartic_blowup_reference(K, cfg.T)
@@ -200,7 +197,7 @@ def test_scheme2_refinement_converges():
     # doubling (N, M) shrinks the deviation from the closed form
     # E[exp(-beta X_t^2)] = (1 + 2 beta t)^{-1/2} for standard BM
     K, T, beta = 16, 1.0, 0.3
-    u0 = to_factorial_basis(Seq.delta(2, K, -beta))
+    u0 = Seq.delta(2, K, -beta)
     ref = (1.0 + 2.0 * beta * T) ** -0.5
     errs = []
     for N in (10, 20, 40):
@@ -230,67 +227,89 @@ def test_scheme2_smoothness_detector():
     assert np.allclose(vals, [math.e, math.exp(3.0)], rtol=1e-12)
 
 
-# Recorded from the float64-weight, complex-promoting implementation of
-# binom_conv: the extended-precision path must keep producing these bits.
-# Quartic initial data at K=16, N=8, T=1; per M: the transport values
-# (float.hex of the real parts; imaginary parts are zero), the working dps,
-# and a digest of the exact mpmath state after the N half-steps.
-QUARTIC_MP_GOLDEN = {
-    16: (
-        [
-            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.fe003ffaab000p-1",
-            "0x1.fa05bd70e4bc0p-1", "0x1.f45af92d48850p-1", "0x1.ed890ce38b962p-1",
-            "0x1.e625c1e3c0050p-1", "0x1.de8ae66a6707ap-1", "0x1.d6cb36e824893p-1",
-        ],
-        34,
-        "f45315b9de3a92c9d0418f20a8652cae9bb936dc98c7e43ccb0638a80a82648d",
-    ),
-    32: (
-        [
-            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.fe000fffaaac0p-1",
-            "0x1.fa02afaf07237p-1", "0x1.f4503f6ac2814p-1", "0x1.ed737f3aaf08fp-1",
-            "0x1.e6097b0d23d95p-1", "0x1.de6f88fa371f0p-1", "0x1.d6a5d746d6404p-1",
-        ],
-        37,
-        "1afd5398d4b43371499cdfb3b3d9d84e33f9275123936f4dffaeee9c2be5c525",
-    ),
-}
+def quartic_transport_referee(K, N, M, T):
+    """Transport values for E[exp(-B_t^4/24)], computed without sigcalc.
 
-
-def exact_real_digest(coeffs) -> str:
-    """sha256 over the exact (sign, mantissa, exponent) of each real part."""
+    The Brownian half-step u + R(u)/M is written out in the factorial basis,
+    R(u)_n = (u_{n+2} + sum_k C(n, k) u_{k+1} u_{n-k+1}) / 2, with integer
+    binomials, at 40 digits above the transport's working precision; the
+    mixture uses integer binomials too.  It starts from the same double
+    coefficient as the transport (at t = 0.375, N=8, M=32, 1/24 rounded to
+    double moves the value by 6.5e-19, enough to cross a rounding midpoint).
+    Returns the values rounded to double.
+    """
     from mpmath import mp
 
-    parts = []
-    for c in coeffs:
-        c = mp.mpmathify(c)
-        if isinstance(c, mp.mpc):
-            assert c.imag == 0
-            c = c.real
-        sign, man, exp, _ = c._mpf_
-        parts.append(f"{sign},{int(man)},{exp}")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+    lam = M * T / N
+    dps = max(30, int(math.ceil(N * math.log10(2.0 * lam - 1.0))) + 30) + 40
+    with mp.workdps(dps):
+        u = [mp.mpf(0)] * (K + 1)
+        # the transport's input, the double nearest -1/4!, times 4! exactly
+        u[4] = mp.mpf(-1.0 / 24) * 24
+        inv_m = mp.mpf(1) / M
+        g = [mp.exp(u[0])]
+        for _ in range(N):
+            nz = [k for k in range(K) if u[k + 1] != 0]
+            r = []
+            for n in range(K + 1):
+                terms = [u[n + 2]] if n + 2 <= K else []
+                terms += [
+                    math.comb(n, k) * u[k + 1] * u[n - k + 1]
+                    for k in nz
+                    if k <= n and n - k + 1 <= K and u[n - k + 1] != 0
+                ]
+                r.append(mp.fsum(terms) / 2)
+            u = [x + y * inv_m for x, y in zip(u, r)]
+            g.append(mp.exp(u[0]))
+        lam_mp = mp.mpf(T) * M / N
+        return [
+            float(
+                mp.fsum(
+                    math.comb(n, m) * (1 - lam_mp) ** (n - m) * lam_mp**m * g[m]
+                    for m in range(n + 1)
+                )
+            )
+            for n in range(N + 1)
+        ]
 
 
 @pytest.mark.parametrize("M", [16, 32])
-def test_scheme2_mp_path_matches_recorded_bits(M):
-    from mpmath import mp
-
+def test_scheme2_mp_path_matches_exact_referee(M):
+    # lam = M T / N = 2 and 4: the extended-precision path, bit for bit
     K, N, T = 16, 8, 1.0
-    values, dps, digest = QUARTIC_MP_GOLDEN[M]
-    u0 = to_factorial_basis(powerseries.quartic_initial(K)).coeffs
-    R = brownian_R(K)
-    traj, vals = scheme2_transport(R, u0, SchemeConfig(T=T, N=N, M=M, steps=1))
+    traj, vals = scheme2_transport(
+        brownian_R(K), powerseries.quartic_initial(K).coeffs, SchemeConfig(T=T, N=N, M=M)
+    )
     assert traj.status == "completed"
-    assert [float(v.real).hex() for v in vals] == values
     assert not np.any(vals.imag)
-    # the same half-steps at the transport's working precision, bit for bit
-    with mp.workdps(dps):
-        u = np.array([mp.mpf(float(z.real)) for z in u0], dtype=object)
-        inv_m = mp.mpf(1) / M
-        for _ in range(N):
-            u = u + R(u) * inv_m
-    assert exact_real_digest(u) == digest
+    assert [float(v.real) for v in vals] == quartic_transport_referee(K, N, M, T)
+
+
+def test_scheme2_mp_path_matches_exact_referee_at_high_degree():
+    # at K=128 the factorial-basis weights C(n, k) reach C(127, 63) ~ 1.2e37,
+    # far past the 2^53 that float64 holds exactly; with those weights
+    # rounded to double, values miss the referee by up to 6.8e-13
+    K, N, M, T = 128, 64, 128, 1.0
+    _, vals = scheme2_transport(
+        brownian_R(K), powerseries.quartic_initial(K).coeffs, SchemeConfig(T=T, N=N, M=M)
+    )
+    ref = quartic_transport_referee(K, N, M, T)
+    assert len(vals) == N + 1
+    assert max(abs(v.real - r) for v, r in zip(vals, ref)) <= 1e-15
+
+
+def test_scheme2_mp_path_rejects_float_field():
+    # R_op casts to complex128, so at lam > 1 it would evaluate R in float64
+    # inside the arithmetic meant to absorb the mixture's cancellation
+    K, N, M, T = 12, 8, 16, 1.0
+    u0 = Seq.delta(1, K, 0.8)
+    cfg = SchemeConfig(T=T, N=N, M=M)
+    with pytest.raises(TypeError, match="object"):
+        scheme2_transport(brownian_R_d1(K), to_factorial_basis(u0).coeffs, cfg)
+    traj, vals = scheme2_transport(brownian_R(K), u0.coeffs, cfg)
+    assert traj.status == "completed"
+    refs = np.exp(0.8**2 * np.linspace(0.0, T, N + 1) / 2.0)
+    assert np.max(np.abs(vals - refs) / refs) < 5e-3
 
 
 # -- scheme 3 -------------------------------------------------------------------

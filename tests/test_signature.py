@@ -147,3 +147,14 @@ def test_path_csv_roundtrip(rng):
     back = PiecewisePath.from_csv(path.to_csv())
     assert np.allclose(back.times, path.times)
     assert np.allclose(back.points, path.points)
+
+
+def test_path_csv_without_samples_is_rejected():
+    with pytest.raises(ValueError, match="at least two samples"):
+        PiecewisePath.from_csv("t,x1,x2\n")
+
+
+def test_path_csv_ragged_row_names_its_line():
+    text = "t,x1,x2\n0,0,0\n\n1,2\n2,1,1\n"
+    with pytest.raises(ValueError, match=r"line 4 has 2 fields, the header 3: '1,2'"):
+        PiecewisePath.from_csv(text)

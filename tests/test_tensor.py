@@ -336,6 +336,14 @@ def test_text_roundtrip(rng):
     assert back.allclose(u, tol=0.0)
 
 
+def test_text_word_above_truncation_is_named():
+    # a word longer than the requested N used to index past the array
+    text = "word=1 re=0.5 im=0.0\nword=2,1,2 re=1.0 im=0.0\n"
+    with pytest.raises(ValueError, match=r"word=2,1,2 has length 3.*N=2"):
+        TensorCoeffs.from_text(text, d=2, N=2)
+    assert TensorCoeffs.from_text(text, d=2).N == 3
+
+
 def test_truncation_and_support(rng):
     d, N = 2, 4
     u = TensorCoeffs.basis(d, N, (1, 2, 1))
