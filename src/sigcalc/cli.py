@@ -105,6 +105,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
         rows.append([t, v1, v2, ref, abs(v1 - ref), traj.status])
     report.add_check("max deviation from quadrature", worst, 1e-3)
     report.add_check("basis agreement", worst_bases, 1e-8)
+    report.extra["field"] = spec.field.sizes()
     write_csv(
         out + ".csv",
         ["t", "monomial_basis", "factorial_basis", "quadrature", "abs_err", "status"],
@@ -286,6 +287,7 @@ def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):
         refs = [1.0 / math.cosh(lam * t / 2.0) for t in traj.times]
         worst = max(abs(v - r) for v, r in zip(vals, refs))
         report.add_check("deviation from sech closed form", worst, 1e-6)
+    report.extra["field"] = spec.field.sizes()
     rows = [
         [t, v.real, v.imag, traj.status] for t, v in zip(traj.times, vals)
     ]

@@ -8,29 +8,48 @@ exponential functionals; the linear operator drives the coefficient ODE for
 expectations of linear functionals.  The two are linked: the linear operator
 is recovered from the quadratic one through a two-point evaluation, and on
 shuffle exponentials L(exp u) = exp(u) sh R(u).
+
+Both operators are fixed sums of monomials in the coefficients, so each model
+is compiled once into a ``QuadraticField`` of index arrays: R, L, the linear
+matrix and the expected-signature generator all read that one field.  A
+``SdeSpec`` is immutable, with read-only characteristics, so the field it
+caches cannot go stale.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tensor import TensorCoeffs, all_words, n_words, tables
+from .tensor import TensorCoeffs, all_words, n_words, shuffle_word_pair
 
 
-@dataclass
+def _read_only(c: TensorCoeffs) -> TensorCoeffs:
+    out = c.copy()
+    out.coeffs.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class SdeSpec:
-    """d-dimensional model: drift vector and diffusion matrix functionals."""
+    """d-dimensional model: drift vector and diffusion matrix functionals.
+
+    The characteristics are stored as read-only copies; ``field`` compiles
+    them on first use.
+    """
 
     d: int
     x0: np.ndarray
-    b: list[TensorCoeffs]
-    a: list[list[TensorCoeffs]]
+    b: tuple[TensorCoeffs, ...]
+    a: tuple[tuple[TensorCoeffs, ...], ...]
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=np.float64).ravel()
+        x0 = np.array(self.x0, dtype=np.float64).ravel()
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
         if len(self.x0) != self.d:
             raise ValueError("x0 must have d entries")
         if len(self.b) != self.d:
@@ -47,15 +66,23 @@ class SdeSpec:
                     raise ValueError("all characteristics must share (d, N)")
                 if not self.a[i][j].allclose(self.a[j][i], tol=0.0):
                     raise ValueError("diffusion matrix must be symmetric")
+        object.__setattr__(self, "b", tuple(_read_only(c) for c in self.b))
+        object.__setattr__(
+            self, "a", tuple(tuple(_read_only(c) for c in row) for row in self.a)
+        )
 
     @property
     def N_alg(self) -> int:
         return self.b[0].N
 
+    @cached_property
+    def field(self) -> "QuadraticField":
+        return QuadraticField(self)
+
     def with_truncation(self, N: int) -> "SdeSpec":
         return SdeSpec(
             d=self.d,
-            x0=self.x0.copy(),
+            x0=self.x0,
             b=[c.with_truncation(N) for c in self.b],
             a=[[c.with_truncation(N) for c in row] for row in self.a],
         )
@@ -125,50 +152,134 @@ def black_scholes_spec(sigma: float, s0: float, N: int) -> SdeSpec:
     )
 
 
-def _shift1_at(u: TensorCoeffs) -> list[TensorCoeffs]:
-    return [c.with_truncation(u.N) for c in u.shift1()]
+class _Terms:
+    """Monomials w u_p u_q, merged per (k, p <= q) and sorted by output word k."""
+
+    def __init__(self, k, p, q, w):
+        k, p, q = (np.asarray(x, dtype=np.int64) for x in (k, p, q))
+        p, q = np.minimum(p, q), np.maximum(p, q)  # u_p u_q = u_q u_p
+        order = np.lexsort((q, p, k))
+        k, p, q = k[order], p[order], q[order]
+        new = np.ones(len(k), dtype=bool)
+        new[1:] = (np.diff(k) != 0) | (np.diff(p) != 0) | (np.diff(q) != 0)
+        first = np.flatnonzero(new)
+        w = np.asarray(w, dtype=np.complex128)[order]
+        w = np.add.reduceat(w, first) if len(first) else w
+        self.k, self.p, self.q = k[first], p[first], q[first]
+        self.w = w if w.imag.any() else w.real.copy()
+        self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
+        self.rows = self.k[self.starts]
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Sum the terms at the state y, extended by a trailing 1."""
+        ue = np.append(y, 1.0)
+        out = np.zeros(len(y), dtype=np.complex128)
+        if len(self.rows):
+            out[self.rows] = np.add.reduceat(self.w * ue[self.p] * ue[self.q], self.starts)
+        return out
 
 
-def _shift2_at(u: TensorCoeffs) -> list[list[TensorCoeffs]]:
-    return [[c.with_truncation(u.N) for c in row] for row in u.shift2()]
+class QuadraticField:
+    """R and L of one model as index arrays over the word basis.
+
+    With u1_i the right shift by letter i and u2_ji the shift by the suffix
+    (i, j), R(u) = sum_i b_i sh u1_i + (1/2) sum_ij a_ij sh (u2_ji + u1_j sh
+    u1_i).  Expanding the shuffles word by word turns this into terms
+    (k, p, q, w), each adding w u_p u_q to word k.  A nonzero word c of b_i
+    feeds c sh p from the input word p.i; a word c of a_ij feeds (1/2) c sh p
+    from p.i.j and (1/2) c sh (p sh q) from the pair (p.j, q.i).  Linear terms
+    take q = size, an index past the state, where ``apply`` finds a 1.
+
+    The linear terms are built with the field; the quadratic ones, which L
+    and the linear matrix never need, on the first evaluation of R.
+    """
+
+    def __init__(self, spec: SdeSpec):
+        self.d, self.N = spec.d, spec.N_alg
+        self.size = n_words(self.d, self.N)
+        self._b, self._a = spec.b, spec.a
+        self._words = list(all_words(self.d, self.N))
+        self._index = {w: k for k, w in enumerate(self._words)}
+        self.linear = self._build(quadratic=False)
+
+    @cached_property
+    def riccati(self) -> _Terms:
+        """Linear and quadratic terms together: the whole of R."""
+        return self._build(quadratic=True)
+
+    def _prefix(self, n: int) -> list:
+        """Words of length <= n (none for n < 0)."""
+        return self._words[: n_words(self.d, n)] if n >= 0 else []
+
+    def _build(self, quadratic: bool) -> _Terms:
+        N, index, one = self.N, self._index, self.size
+        k, p, q, w = [], [], [], []
+
+        def support(c: TensorCoeffs):
+            return [(self._words[n], c.coeffs[n]) for n in np.flatnonzero(c.coeffs)]
+
+        def linear(c: TensorCoeffs, suffix: tuple, scale: float):
+            for cw, cv in support(c):
+                for pw in self._prefix(min(N - len(suffix), N - len(cw))):
+                    col = index[pw + suffix]
+                    for s, m in shuffle_word_pair(cw, pw):
+                        k.append(index[s])
+                        p.append(col)
+                        q.append(one)
+                        w.append(scale * cv * m)
+
+        def pairs(c: TensorCoeffs, i: int, j: int):
+            for cw, cv in support(c):
+                room = N - len(cw)
+                for pw in self._prefix(min(N - 1, room)):
+                    left = index[pw + (j,)]
+                    for qw in self._prefix(min(N - 1, room - len(pw))):
+                        right = index[qw + (i,)]
+                        for s, m1 in shuffle_word_pair(pw, qw):
+                            for t, m2 in shuffle_word_pair(cw, s):
+                                k.append(index[t])
+                                p.append(left)
+                                q.append(right)
+                                w.append(0.5 * cv * (m1 * m2))
+
+        for i in range(1, self.d + 1):
+            linear(self._b[i - 1], (i,), 1.0)
+        for i in range(1, self.d + 1):
+            for j in range(1, self.d + 1):
+                linear(self._a[i - 1][j - 1], (i, j), 0.5)
+                if quadratic:
+                    pairs(self._a[i - 1][j - 1], i, j)
+        return _Terms(k, p, q, w)
+
+    def sizes(self) -> dict:
+        """Words, linear terms and quadratic terms: what one call of R costs."""
+        return {
+            "words": self.size,
+            "linear_terms": len(self.linear),
+            "quadratic_terms": len(self.riccati) - len(self.linear),
+        }
+
+
+def _check_state(u: TensorCoeffs, spec: SdeSpec) -> None:
+    if u.d != spec.d:
+        raise ValueError("element and model disagree in dimension")
+    if u.N != spec.N_alg:
+        raise ValueError("element and characteristics disagree in truncation")
 
 
 def R_op(u: TensorCoeffs, spec: SdeSpec) -> TensorCoeffs:
     """Quadratic operator b.u1 + (1/2) tr(a sh (u2 + u1 u1^T))."""
-    d = spec.d
-    if u.d != d:
-        raise ValueError("element and model disagree in dimension")
-    if u.N != spec.N_alg:
-        raise ValueError("element and characteristics disagree in truncation")
-    u1 = _shift1_at(u)
-    u2 = _shift2_at(u)
-    out = TensorCoeffs.zero(d, u.N)
-    for i in range(d):
-        out = out + spec.b[i].shuffle(u1[i])
-    for i in range(d):
-        for j in range(d):
-            m_ji = u2[j][i] + u1[j].shuffle(u1[i])
-            out = out + 0.5 * spec.a[i][j].shuffle(m_ji)
-    return out
+    _check_state(u, spec)
+    return TensorCoeffs(u.d, u.N, spec.field.riccati.apply(u.coeffs))
 
 
 def L_op(u: TensorCoeffs, spec: SdeSpec) -> TensorCoeffs:
     """Linear operator b.u1 + (1/2) tr(a sh u2)."""
-    d = spec.d
-    if u.d != d:
-        raise ValueError("element and model disagree in dimension")
-    if u.N != spec.N_alg:
-        raise ValueError("element and characteristics disagree in truncation")
-    u1 = _shift1_at(u)
-    out = TensorCoeffs.zero(d, u.N)
-    for i in range(d):
-        out = out + spec.b[i].shuffle(u1[i])
-    if u.N >= 2:
-        u2 = _shift2_at(u)
-        for i in range(d):
-            for j in range(d):
-                out = out + 0.5 * spec.a[i][j].shuffle(u2[j][i])
-    return out
+    _check_state(u, spec)
+    return TensorCoeffs(u.d, u.N, spec.field.linear.apply(u.coeffs))
 
 
 def poly_from_affine(u: TensorCoeffs, spec: SdeSpec, lam: float = 2.0) -> TensorCoeffs:
@@ -186,7 +297,8 @@ def poly_from_affine(u: TensorCoeffs, spec: SdeSpec, lam: float = 2.0) -> Tensor
 def linear_matrix(spec: SdeSpec, N: int) -> np.ndarray:
     """Matrix of the linear operator on the word basis of levels 0..N.
 
-    Requires characteristics that keep the operator inside the truncation:
+    Read off the field's linear terms.  Requires characteristics that keep
+    the operator inside the truncation:
     diffusion entries supported on words of length <= 2 and drift entries on
     length <= 1.  Column k holds the coefficients of L(e_k).
     """
@@ -205,12 +317,9 @@ def linear_matrix(spec: SdeSpec, N: int) -> np.ndarray:
                     f"diffusion entry ({i + 1},{j + 1}) involves a word of "
                     f"length {lvl}; the linear operator would leave the truncation"
                 )
-    size = n_words(spec.d, N)
-    G = np.zeros((size, size), dtype=np.complex128)
-    for k, word in enumerate(all_words(spec.d, N)):
-        G[:, k] = L_op(TensorCoeffs.basis(spec.d, N, word), sp).coeffs
-    if np.all(G.imag == 0):
-        return G.real.copy()
+    terms = sp.field.linear
+    G = np.zeros((sp.field.size, sp.field.size), dtype=terms.w.dtype)
+    G[terms.k, terms.p] = terms.w  # merged terms: one per (k, p)
     return G
 
 

@@ -39,6 +39,51 @@ def d1_image(model):
     return spec, to_d1
 
 
+def _shifted(u, times):
+    """Right shifts by 1 or 2 letters, padded back to u's truncation.
+
+    One shift of an element at N = 0 is zero, as are two shifts at N <= 1.
+    """
+    d, N = u.d, u.N
+    if N < times:
+        zero = TensorCoeffs.zero(d, N)
+        return [zero] * d if times == 1 else [[zero] * d for _ in range(d)]
+    if times == 1:
+        return [c.with_truncation(N) for c in u.shift1()]
+    return [[c.with_truncation(N) for c in row] for row in u.shift2()]
+
+
+def R_reference(u, spec):
+    """R(u) = b.u1 + (1/2) tr(a sh (u2 + u1 u1^T)), spelled out term by term.
+
+    The paper's formula with the tensor algebra's own shifts and shuffles;
+    the compiled field behind ``R_op`` is checked against it.
+    """
+    d = spec.d
+    u1, u2 = _shifted(u, 1), _shifted(u, 2)
+    out = TensorCoeffs.zero(d, u.N)
+    for i in range(d):
+        out = out + spec.b[i].shuffle(u1[i])
+    for i in range(d):
+        for j in range(d):
+            m_ji = u2[j][i] + u1[j].shuffle(u1[i])
+            out = out + 0.5 * spec.a[i][j].shuffle(m_ji)
+    return out
+
+
+def L_reference(u, spec):
+    """L(u) = b.u1 + (1/2) tr(a sh u2), spelled out term by term."""
+    d = spec.d
+    u1, u2 = _shifted(u, 1), _shifted(u, 2)
+    out = TensorCoeffs.zero(d, u.N)
+    for i in range(d):
+        out = out + spec.b[i].shuffle(u1[i])
+    for i in range(d):
+        for j in range(d):
+            out = out + 0.5 * spec.a[i][j].shuffle(u2[j][i])
+    return out
+
+
 def random_path(rng, d, n_segments=4, scale=1.0):
     from sigcalc.signature import PiecewisePath
 

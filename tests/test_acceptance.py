@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import d1_image, quartic_blowup_reference
+from conftest import L_reference, d1_image, quartic_blowup_reference
 from sigcalc import montecarlo, operators, powerseries, schemes, signature, tensor
 from sigcalc.montecarlo import SimConfig, estimate, gauss_hermite_expectation
 from sigcalc.powerseries import (
@@ -409,7 +409,7 @@ def test_randomized_algebraic_identities(capsys):
         check(
             "affine/polynomial generator match",
             operators.poly_from_affine(u, spec, lam).allclose(
-                operators.L_op(u, spec), tol=1e-9
+                L_reference(u, spec), tol=1e-9
             ),
         )
         check(

@@ -39,6 +39,9 @@ def test_gbm_laplace(runner, tmp_path):
     assert report["passed"]
     names = [c["name"] for c in report["checks"]]
     assert any("quadrature" in n or "deviation" in n for n in names)
+    # K=20 at d=1: R reads u_(p.1.1) for |p| <= 18, and one merged product
+    # term per unordered pair of exponents {a, b} with a + b <= 20, a, b <= 19
+    assert report["field"] == {"words": 21, "linear_terms": 19, "quadratic_terms": 120}
 
 
 def test_bm_quartic_small(runner, tmp_path):
@@ -96,6 +99,9 @@ def test_levy_area(runner, tmp_path):
     assert result.exit_code == 0, result.output
     report = read_report(stem)
     assert report["passed"]
+    # d=2, N=2: u_11 and u_22 feed the empty word; each letter i contributes
+    # 7 products of u_(p.i) u_(q.i), one per output word of p sh q
+    assert report["field"] == {"words": 7, "linear_terms": 2, "quadratic_terms": 14}
 
 
 def test_expected_sig(runner, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sigcalc.operators import (
     L_op,
@@ -19,7 +21,7 @@ from sigcalc.operators import (
 from sigcalc.tensor import TensorCoeffs, all_words, tables
 from sigcalc import schemes
 
-from conftest import random_tensor
+from conftest import L_reference, R_reference, random_tensor
 
 
 def random_spec(rng, d, N, level_cap=None):
@@ -41,18 +43,49 @@ def random_spec(rng, d, N, level_cap=None):
 
 def test_brownian_R_gaussian_exponent(rng):
     # u supported on level 1 with weight vector gamma:
-    # R(u) = (1/2) gamma^T cov gamma at the empty word
-    d, N = 2, 4
+    # R(u) = (1/2) gamma^T cov gamma at the empty word, at N = 1 as well
+    d = 2
     cov = np.array([[1.0, 0.3], [0.3, 2.0]])
-    spec = brownian_spec(d, N, cov=cov)
-    gamma = rng.normal(size=d) + 1j * rng.normal(size=d)
-    u = TensorCoeffs.zero(d, N)
-    for k in range(d):
-        u[(k + 1,)] = gamma[k]
-    out = R_op(u, spec)
-    expect = 0.5 * gamma @ cov @ gamma
-    assert abs(out[()] - expect) < 1e-12
-    assert all(len(w) == 0 for w in out.nonzero_words())
+    for N in (1, 4):
+        spec = brownian_spec(d, N, cov=cov)
+        gamma = rng.normal(size=d) + 1j * rng.normal(size=d)
+        u = TensorCoeffs.zero(d, N)
+        for k in range(d):
+            u[(k + 1,)] = gamma[k]
+        out = R_op(u, spec)
+        expect = 0.5 * gamma @ cov @ gamma
+        assert abs(out[()] - expect) < 1e-12
+        assert all(len(w) == 0 for w in out.nonzero_words())
+
+
+def test_R_and_L_vanish_at_level_zero(rng):
+    # at N = 0 every shift of the state is zero, so R = L = 0
+    spec = random_spec(rng, 2, 0)
+    u = random_tensor(rng, 2, 0)
+    assert not R_op(u, spec).coeffs.any()
+    assert not L_op(u, spec).coeffs.any()
+
+
+def test_spec_characteristics_are_read_only(rng):
+    # the compiled field is cached on the spec, so writing to a
+    # characteristic after construction must fail rather than go stale
+    d, N = 2, 3
+    b = [TensorCoeffs.zero(d, N) for _ in range(d)]
+    a = [[TensorCoeffs.unit(d, N) * float(i == j) for j in range(d)] for i in range(d)]
+    spec = SdeSpec(d=d, x0=np.zeros(d), b=b, a=a)
+    u = random_tensor(rng, d, N)
+    before = R_op(u, spec)
+    with pytest.raises(ValueError):
+        spec.b[0][(1,)] = 1.0
+    with pytest.raises(ValueError):
+        spec.a[0][0].coeffs[0] = 2.0
+    b[0][(1,)] = 1.0  # the caller's own tensors stay writable
+    assert R_op(u, spec).allclose(before, tol=0.0)
+    # a truncated copy compiles its own field
+    low = spec.with_truncation(N - 1)
+    assert low.field is not spec.field
+    v = random_tensor(rng, d, N - 1)
+    assert R_op(v, low).allclose(R_reference(v, low), tol=1e-13)
 
 
 def test_R_minus_L_is_quadratic_term(rng):
@@ -61,11 +94,11 @@ def test_R_minus_L_is_quadratic_term(rng):
     spec = random_spec(rng, d, N, level_cap=2)
     scalar = TensorCoeffs.zero(d, N)
     scalar[()] = 1.3
-    assert R_op(scalar, spec).allclose(L_op(scalar, spec), tol=1e-14)
+    assert R_op(scalar, spec).allclose(L_reference(scalar, spec), tol=1e-14)
     # quadratic in u: R(t u) - L(t u) scales as t^2
     u = random_tensor(rng, d, N)
-    q1 = R_op(u, spec) - L_op(u, spec)
-    q2 = R_op(2.0 * u, spec) - L_op(2.0 * u, spec)
+    q1 = R_op(u, spec) - L_reference(u, spec)
+    q2 = R_op(2.0 * u, spec) - L_reference(2.0 * u, spec)
     assert q2.allclose(4.0 * q1, tol=1e-10)
 
 
@@ -83,13 +116,49 @@ def test_L_exp_identity(rng):
         )
 
 
+@seed(20240817)
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_field_matches_reference(d, data):
+    # the compiled field against the term-by-term formulas, on full and
+    # level-capped random specs and complex states
+    N = data.draw(st.integers(0, 3 if d == 3 else 5), label="N")
+    cap = data.draw(st.one_of(st.none(), st.integers(0, N)), label="level_cap")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spec = random_spec(rng, d, N, level_cap=cap)
+    u = random_tensor(rng, d, N)
+    for op, ref in ((R_op, R_reference), (L_op, L_reference)):
+        got, want = op(u, spec).coeffs, ref(u, spec).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
+
+    # linear_matrix columns are L on the basis words
+    narrow = SdeSpec(
+        d=d,
+        x0=spec.x0,
+        b=[c.with_truncation(min(N, 1)).with_truncation(N) for c in spec.b],
+        a=[[c.with_truncation(min(N, 2)).with_truncation(N) for c in row] for row in spec.a],
+    )
+    G = linear_matrix(narrow, N)
+    for k, w in enumerate(all_words(d, N)):
+        col = L_reference(TensorCoeffs.basis(d, N, w), narrow).coeffs
+        assert np.max(np.abs(G[:, k] - col)) <= 1e-13 * np.max(np.abs(col), initial=0.0)
+
+    # L(exp u) = exp u sh R(u), exact at levels <= N - 2
+    if N >= 2:
+        v = random_tensor(rng, d, N, scale=0.4, zero_scalar=True)
+        g = v.shuffle_exp()
+        lhs = L_op(g, spec).with_truncation(N - 2).coeffs
+        rhs = g.shuffle(R_op(v, spec)).with_truncation(N - 2).coeffs
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs), initial=1.0)
+
+
 def test_poly_from_affine_recovers_L(rng):
     # the two-point affine combination of R reproduces L for any lam
     d, N = 2, 4
     spec = random_spec(rng, d, N, level_cap=2)
     for _ in range(10):
         u = random_tensor(rng, d, N)
-        L_ref = L_op(u, spec)
+        L_ref = L_reference(u, spec)
         for lam in (2.0, 3.5, -1.5):
             assert poly_from_affine(u, spec, lam=lam).allclose(L_ref, tol=1e-9)
 
@@ -107,7 +176,7 @@ def test_linear_matrix_columns(rng):
     G = linear_matrix(spec, N)
     tab = tables(d, N)
     for j, w in enumerate(tab.words):
-        col = L_op(TensorCoeffs.basis(d, N, w), spec).coeffs
+        col = L_reference(TensorCoeffs.basis(d, N, w), spec).coeffs
         assert np.allclose(G[:, j], col, atol=1e-12)
 
 
