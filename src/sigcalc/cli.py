@@ -323,10 +323,9 @@ def cmd_expected_sig(sigma, s0, level, T, out, check):
     m0 = np.zeros(Gt.shape[0])
     m0[0] = 1.0
     c, _ = schemes.scheme3_linear(Gt, m0, T)
-    tab = tensor.tables(2, level)
     worst = 0.0
     rows = []
-    for k, w in enumerate(tab.words):
+    for k, w in enumerate(tensor.all_words(2, level)):
         val = c[k].real
         rows.append(["" if not w else ",".join(map(str, w)), val])
         if all(l == 1 for l in w):

@@ -24,6 +24,15 @@ def _real_if_exact(c: np.ndarray) -> np.ndarray:
     return c
 
 
+def _exactly_as(c: np.ndarray, like) -> np.ndarray:
+    """A float array as objects of the type of ``like``, each entry converted
+    exactly (Decimal(float) and mpf(float) are exact; Decimal refuses float
+    operands).  Other arrays, and ``like`` a Python number, pass through."""
+    if c.dtype.kind != "f" or isinstance(like, (int, float)):
+        return c
+    return np.array([type(like)(x) for x in c.tolist()], dtype=object)
+
+
 @dataclass
 class Seq:
     """Coefficient sequence truncated at degree K."""
@@ -101,9 +110,10 @@ class Seq:
         """Cauchy product truncated at degree K.
 
         When either factor holds objects (extended-precision scalars), only
-        the products of nonzero pairs with index sum <= K are formed, and a
+        the products of nonzero pairs with index sum <= K are formed, a
         complex factor with zero imaginary part enters as real, so a real
-        state stays real.
+        state stays real, and a real float factor enters converted exactly
+        to the other factor's element type.
         """
         self._check(other)
         u, v = self.coeffs, other.coeffs
@@ -114,7 +124,9 @@ class Seq:
         a, b = np.nonzero(iu[:, None] + iv[None, :] <= self.K)
         i, j = iu[a], iv[b]
         out = np.zeros(self.K + 1, dtype=object)
-        np.add.at(out, i + j, u[i] * v[j])
+        if i.size:
+            u, v = _exactly_as(u, v[j[0]]), _exactly_as(v, u[i[0]])
+            np.add.at(out, i + j, u[i] * v[j])
         return Seq(self.K, out)
 
     def bracket1(self) -> "Seq":
@@ -189,15 +201,19 @@ class Model1D:
 
 def R_pow(u: Seq, m: Model1D) -> Seq:
     """Quadratic operator in the monomial basis:
-    b conv u' + (1/2) a conv (u'' + u' conv u')."""
+    b conv u' + (1/2) a conv (u'' + u' conv u').
+
+    The 1/2 scales a, exactly in binary, so that an object state (Decimal
+    refuses float operands) meets no float factor outside ``conv``.
+    """
     u1 = u.bracket1()
     u2 = u.bracket2()
-    return m.b.conv(u1) + 0.5 * m.a.conv(u2 + u1.conv(u1))
+    return m.b.conv(u1) + (m.a * 0.5).conv(u2 + u1.conv(u1))
 
 
 def L_pow(u: Seq, m: Model1D) -> Seq:
     """Linear operator in the monomial basis: b conv u' + (1/2) a conv u''."""
-    return m.b.conv(u.bracket1()) + 0.5 * m.a.conv(u.bracket2())
+    return m.b.conv(u.bracket1()) + (m.a * 0.5).conv(u.bracket2())
 
 
 def exp_conv(u: Seq) -> Seq:

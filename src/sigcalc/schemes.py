@@ -20,9 +20,11 @@ step size, so coarse grids are not flagged.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from typing import Callable
+from decimal import Decimal
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -149,43 +151,38 @@ def scheme2_transport(
     For lam <= 1 this is a probability mixture and float64 suffices.  For
     lam > 1 the weights alternate in sign and their magnitudes sum to
     (2 lam - 1)^n, so the mixture cancels roughly n log10(2 lam - 1) digits;
-    it is then evaluated in software arbitrary precision with exactly
-    represented weights, in the mixture and inside R (rounding the weights
-    themselves is enough to destroy the cancellation).  On that path R_fn
-    receives an object array of mpmath numbers and must return one: R_pow
-    does; R_op does not (TensorCoeffs holds complex128), and a float result
+    it is then evaluated in decimal floating point (the standard library's
+    ``decimal``) with that many digits to spare, with exact integer
+    binomials in the mixture and inside R (rounding the weights themselves
+    is enough to destroy the cancellation).  On that path the state must be
+    real (``decimal`` has no complex type; a complex state raises
+    ValueError), and R_fn receives an object array of Decimals and must
+    return one of exact scalars, int or Decimal: R_pow does; R_op does not
+    (TensorCoeffs holds complex128), and a float, as operand or result,
     raises TypeError.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value
     sequence (second difference beyond 1% of the local scale) -- truncated
     dynamics lose accuracy a step or two before the values visibly blow up,
-    and the smoothness test catches that onset.
+    and the smoothness test catches that onset.  Each value is tested as
+    soon as its half-step lands, and no half-step is taken past the cut.
     """
     lam = cfg.transport_lambda
-    if lam > 1.0 + 1e-12:
-        raw = _transport_values_mp(R_fn, u0, cfg)
-    else:
-        raw = _transport_values_f64(R_fn, u0, cfg)
-
+    transport = _transport_values_dec if lam > 1.0 + 1e-12 else _transport_values_f64
     times = cfg.T * np.arange(cfg.N + 1) / cfg.N
-    values = np.array(raw, dtype=np.complex128)
+    values = []
     status = "completed"
     explosion_time = None
-    with np.errstate(all="ignore"):
-        for n in range(cfg.N + 1):
-            v = values[n]
-            bad = not np.isfinite(v) or abs(v) > _TRANSPORT_VALUE_LIMIT
-            if not bad and n >= 2:
-                pred = 2.0 * values[n - 1] - values[n - 2]
-                scale = max(1.0, abs(values[n - 1]))
-                bad = abs(v - pred) > _TRANSPORT_JUMP_FRACTION * scale
-            if bad:
-                status = "exploded"
-                explosion_time = float(times[n])
-                times = times[:n]
-                values = values[:n]
-                break
+    for n, v in enumerate(transport(R_fn, u0, cfg)):
+        v = np.complex128(v)
+        if _transport_cut(v, values):
+            status = "exploded"
+            explosion_time = float(times[n])
+            break
+        values.append(v)
+    times = times[: len(values)]
+    values = np.array(values, dtype=np.complex128)
     traj = Trajectory(
         times=times,
         states=list(values),
@@ -195,21 +192,32 @@ def scheme2_transport(
     return traj, values
 
 
-def _transport_values_f64(R_fn, u0, cfg: SchemeConfig) -> list[complex]:
-    """Transport mixture in float64 (signed weights only when lam < 1)."""
+def _transport_cut(v: np.complex128, kept: list) -> bool:
+    """Route 2's explosion test of a grid value against the values kept."""
+    with np.errstate(all="ignore"):
+        if not np.isfinite(v) or abs(v) > _TRANSPORT_VALUE_LIMIT:
+            return True
+        if len(kept) < 2:
+            return False
+        pred = 2.0 * kept[-1] - kept[-2]
+        scale = max(1.0, abs(kept[-1]))
+        return bool(abs(v - pred) > _TRANSPORT_JUMP_FRACTION * scale)
+
+
+def _transport_values_f64(R_fn, u0, cfg: SchemeConfig) -> Iterator[complex]:
+    """Transport mixture in float64 (signed weights only when lam < 1), one
+    grid value per half-step."""
     lam = cfg.transport_lambda
     u = np.asarray(u0, dtype=np.complex128).copy()
-    scalars = np.full(cfg.N + 1, np.nan + 0j, dtype=np.complex128)
-    scalars[0] = u[0]
-    with np.errstate(all="ignore"):
-        for m in range(1, cfg.N + 1):
-            if np.all(np.isfinite(u)):
+    g = np.full(cfg.N + 1, np.nan + 0j, dtype=np.complex128)
+    for n in range(cfg.N + 1):
+        with np.errstate(all="ignore"):
+            if n == 0:
+                g[0] = np.exp(u[0])
+            elif np.all(np.isfinite(u)):
                 u = u + R_fn(u) / cfg.M
                 if np.all(np.isfinite(u)):
-                    scalars[m] = u[0]
-        g = np.exp(scalars)
-        out = []
-        for n in range(cfg.N + 1):
+                    g[n] = np.exp(u[0])
             terms = []
             for m in range(n + 1):
                 if (n - m > 0 and lam == 1.0) or (m > 0 and lam == 0.0):
@@ -224,51 +232,77 @@ def _transport_values_f64(R_fn, u0, cfg: SchemeConfig) -> list[complex]:
                 )
                 terms.append(math.exp(logw) * g[m])
             terms.sort(key=abs)
-            out.append(
-                complex(
-                    math.fsum(t.real for t in terms),
-                    math.fsum(t.imag for t in terms),
-                )
-            )
-    return out
+        yield complex(
+            math.fsum(t.real for t in terms),
+            math.fsum(t.imag for t in terms),
+        )
 
 
-def _transport_values_mp(R_fn, u0, cfg: SchemeConfig) -> list[complex]:
-    """Transport mixture in arbitrary precision for lam > 1."""
-    from mpmath import mp
+def _transport_values_dec(R_fn, u0, cfg: SchemeConfig) -> Iterator[complex]:
+    """Transport mixture in decimal floating point for lam > 1, one grid
+    value per half-step.
 
+    The working precision covers the mixture's cancellation with 30 digits
+    to spare; each mixture sum is taken 40 digits wider still and rounded
+    once, to double.  The context has the widest exponent range and returns
+    infinities and NaNs instead of raising, so an overflowing exp(u_0) is a
+    non-finite value for the explosion test.  It is entered per grid value,
+    never across a yield, so the caller's decimal context is left alone.
+    """
     lam = cfg.transport_lambda
     dps = max(30, int(math.ceil(cfg.N * math.log10(2.0 * lam - 1.0))) + 30)
     u0 = np.asarray(u0, dtype=np.complex128)
-    with mp.workdps(dps):
-        if np.all(u0.imag == 0.0):
-            u = np.array([mp.mpf(float(z.real)) for z in u0], dtype=object)
-        else:
-            u = np.array([mp.mpc(complex(z)) for z in u0], dtype=object)
-        lam_mp = mp.mpf(cfg.T) * cfg.M / cfg.N
-        one_minus = 1 - lam_mp
-        inv_m = mp.mpf(1) / cfg.M
-        g = [mp.exp(u[0])]
-        for _ in range(cfg.N):
-            r = R_fn(u)
-            if getattr(r, "dtype", None) != object:
-                raise TypeError(
-                    f"R_fn returned {getattr(r, 'dtype', type(r))}, not an object "
-                    "array: at lam > 1 R must run in the mixture's mpmath precision"
-                )
-            u = u + r * inv_m
-            g.append(mp.exp(u[0]))
-        # each power once, by the same ** as per term; binomials exact
-        lam_pow = [lam_mp**m for m in range(cfg.N + 1)]
-        rest_pow = [one_minus**k for k in range(cfg.N + 1)]
-        out = []
-        for n in range(cfg.N + 1):
-            binom = [mp.mpf(math.comb(n, m)) for m in range(n + 1)]
-            v = mp.fsum(
-                binom[m] * rest_pow[n - m] * lam_pow[m] * g[m] for m in range(n + 1)
-            )
-            out.append(complex(v))
-    return out
+    if np.any(u0.imag != 0.0):
+        raise ValueError(
+            "at lam > 1 the transport runs in decimal arithmetic, which has "
+            "no complex type: the state must be real"
+        )
+    ctx = decimal.Context(
+        prec=dps,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.DivisionByZero],
+    )
+    wide = ctx.copy()
+    wide.prec = dps + 40
+    with decimal.localcontext(ctx):
+        u = np.array([Decimal(x) for x in u0.real.tolist()], dtype=object)
+        lam_d = Decimal(cfg.T) * cfg.M / cfg.N
+        one_minus = 1 - lam_d
+        inv_m = Decimal(1) / cfg.M
+    g, lam_pow, rest_pow = [], [], []
+    for n in range(cfg.N + 1):
+        with decimal.localcontext(ctx):
+            if n:
+                u = _decimal_half_step(R_fn, u, inv_m)
+            g.append(u[0].exp())
+            # each power once, by the same ** as per term; binomials exact
+            lam_pow.append(lam_d**n)
+            rest_pow.append(one_minus**n)
+            terms = [
+                math.comb(n, m) * rest_pow[n - m] * lam_pow[m] * g[m]
+                for m in range(n + 1)
+            ]
+        with decimal.localcontext(wide):
+            v = sum(terms)
+        yield complex(v)
+
+
+def _decimal_half_step(R_fn, u: np.ndarray, inv_m: Decimal) -> np.ndarray:
+    """u + R(u)/M with R run in the current decimal context."""
+    try:
+        r = R_fn(u)
+        if getattr(r, "dtype", None) == object:
+            return u + r * inv_m
+    except TypeError as exc:
+        raise TypeError(
+            "at lam > 1 the transport runs R_fn in decimal arithmetic, which "
+            f"takes exact scalars (int or Decimal), not float: {exc}"
+        ) from exc
+    raise TypeError(
+        f"R_fn returned {getattr(r, 'dtype', type(r))}, not an object "
+        "array: at lam > 1 R must run in the mixture's decimal precision"
+    )
 
 
 def scheme3_linear(

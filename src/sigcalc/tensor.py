@@ -14,6 +14,7 @@ operate on this flat layout.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from collections import Counter
@@ -258,7 +259,7 @@ class TensorCoeffs:
         nz = np.nonzero(self.coeffs)[0]
         if len(nz) == 0:
             return 0
-        return int(tables(self.d, self.N).level[nz[-1]])
+        return bisect.bisect_right(level_offsets(self.d, self.N), int(nz[-1])) - 1
 
     def with_truncation(self, N: int) -> "TensorCoeffs":
         """Pad with zeros or drop top levels to reach truncation N."""

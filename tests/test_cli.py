@@ -114,6 +114,16 @@ def test_expected_sig(runner, tmp_path):
     assert read_report(stem)["passed"]
 
 
+def test_expected_sig_builds_no_shuffle_table(runner, tmp_path, monkeypatch):
+    # the word column comes from all_words, not from tables(2, level)
+    from sigcalc import tensor
+
+    monkeypatch.setattr(tensor, "_table_cache", {})
+    result = runner.invoke(main, ["expected-sig", "--level", "4", "--out", str(tmp_path / "esig")])
+    assert result.exit_code == 0, result.output
+    assert tensor._table_cache == {}
+
+
 def test_csv_byte_stable(runner, tmp_path):
     a = tmp_path / "one"
     b = tmp_path / "two"

@@ -183,39 +183,60 @@ def test_initial_data_constructors():
     assert np.count_nonzero(m.coeffs) == 1
 
 
-def test_seq_object_dtype_passthrough():
-    # extended-precision coefficients survive the operator pipeline
+def _mpf_scalars(dps):
     from mpmath import mp, mpf
 
+    return mp.workdps(dps), mpf
+
+
+def _decimal_scalars(dps):
+    import decimal
+
+    return decimal.localcontext(decimal.Context(prec=dps)), decimal.Decimal
+
+
+# each returns a precision context and the real scalar type, which converts
+# a float exactly
+EXACT_SCALARS = (_mpf_scalars, _decimal_scalars)
+
+
+def test_seq_object_dtype_passthrough():
+    # extended-precision coefficients survive the operator pipeline
     K = 8
     model = brownian_model(K)
-    with mp.workdps(50):
-        u = Seq(K, np.array([mpf(0)] * 4 + [mpf(-1) / 24] + [mpf(0)] * 4, dtype=object))
-        out = R_pow(u, model)
+    ref = R_pow(Seq.from_list([0, 0, 0, 0, -1.0 / 24], K=K), model)
+    for scalars in EXACT_SCALARS:
+        context, scalar = scalars(50)
+        with context:
+            u = Seq(K, np.array([scalar(0)] * 4 + [scalar(-1) / 24] + [scalar(0)] * 4, dtype=object))
+            out = R_pow(u, model)
         assert out.coeffs.dtype == object
-        ref = R_pow(Seq.from_list([0, 0, 0, 0, -1.0 / 24], K=K), model)
         got = np.array([complex(z) for z in out.coeffs])
         assert np.allclose(got, ref.coeffs, atol=1e-15)
 
 
 @pytest.mark.parametrize("op", [R_pow, L_pow])
 def test_real_mp_state_stays_real(op, rng):
-    # a real model on a real mpmath state must not promote it to mpc, and
-    # the result must agree with the complex128 path
-    from mpmath import mp, mpf
-
+    # a real model on a real extended-precision state (mpf, Decimal) must
+    # not promote it to a complex type, and the result must agree with the
+    # complex128 path; Wright-Fisher's drift (0.3, 0.4, -0.7 in binary)
+    # enters each product converted exactly, which Decimal, refusing float
+    # operands, needs
     K = 12
     models = [brownian_model(K), wright_fisher_model([0.3, 0.7], K), cubic_interval_model(K)]
     vals = rng.normal(size=K + 1) * 0.5
-    for model in models:
-        with mp.workdps(40):
-            u = Seq(K, np.array([mpf(float(x)) for x in vals], dtype=object))
-            out = op(u, model).coeffs
-            assert out.dtype == object
-            assert not any(isinstance(z, mp.mpc) for z in out)
-            assert all(isinstance(z, mp.mpf) for z in out if z != 0)
-            stepped = u.coeffs + out * (mpf(1) / 7)
-            assert all(isinstance(z, mp.mpf) for z in stepped)
-        ref = op(Seq(K, vals), model).coeffs
-        got = np.array([float(z) for z in out])
-        assert np.allclose(got, ref.real, rtol=1e-13, atol=1e-13)
+    for scalars in EXACT_SCALARS:
+        for model in models:
+            context, scalar = scalars(40)
+            with context:
+                u = Seq(K, np.array([scalar(float(x)) for x in vals], dtype=object))
+                out = op(u, model).coeffs
+                assert out.dtype == object
+                # zeros never formed by a product stay the int 0
+                assert all(isinstance(z, scalar) or (type(z) is int and z == 0) for z in out)
+                assert all(isinstance(z, scalar) for z in out if z != 0)
+                stepped = u.coeffs + out * (scalar(1) / 7)
+                assert all(isinstance(z, scalar) for z in stepped)
+            ref = op(Seq(K, vals), model).coeffs
+            got = np.array([float(z) for z in out])
+            assert np.allclose(got, ref.real, rtol=1e-13, atol=1e-13)

@@ -158,7 +158,7 @@ def test_scheme2_weights_normalize():
     # any lambda, including sign-alternating weights
     for N, M in ((10, 5), (10, 10), (10, 30)):
         cfg = SchemeConfig(T=1.0, N=N, M=M)
-        traj, vals = scheme2_transport(lambda y: 0.0 * y, np.array([0.3 + 0j]), cfg)
+        traj, vals = scheme2_transport(lambda y: 0 * y, np.array([0.3 + 0j]), cfg)
         assert traj.status == "completed"
         assert np.allclose(vals, math.exp(0.3), atol=1e-10)
 
@@ -295,7 +295,8 @@ def test_scheme2_mp_path_matches_exact_referee_at_high_degree():
     )
     ref = quartic_transport_referee(K, N, M, T)
     assert len(vals) == N + 1
-    assert max(abs(v.real - r) for v, r in zip(vals, ref)) <= 1e-15
+    assert not np.any(vals.imag)
+    assert [float(v.real) for v in vals] == ref
 
 
 def test_scheme2_mp_path_rejects_float_field():
@@ -306,10 +307,53 @@ def test_scheme2_mp_path_rejects_float_field():
     cfg = SchemeConfig(T=T, N=N, M=M)
     with pytest.raises(TypeError, match="object"):
         scheme2_transport(brownian_R_d1(K), to_factorial_basis(u0).coeffs, cfg)
+    # a float operand inside R meets a Decimal, which refuses it
+    with pytest.raises(TypeError, match=r"exact scalars \(int or Decimal\)"):
+        scheme2_transport(lambda y: 0.5 * y, u0.coeffs, cfg)
     traj, vals = scheme2_transport(brownian_R(K), u0.coeffs, cfg)
     assert traj.status == "completed"
     refs = np.exp(0.8**2 * np.linspace(0.0, T, N + 1) / 2.0)
     assert np.max(np.abs(vals - refs) / refs) < 5e-3
+
+
+@pytest.mark.parametrize("M", [20, 40])
+def test_scheme2_stops_half_steps_at_the_cut(M):
+    # the value at grid point n needs n half-steps; none is taken past the
+    # first cut point, on the float path (lam = 1) and the decimal one (2)
+    calls = []
+
+    def R(y):
+        calls.append(1)
+        out = 0 * y
+        out[0] = 40 * y[0] * y[0]
+        return out
+
+    cfg = SchemeConfig(T=1.0, N=20, M=M)
+    traj, _ = scheme2_transport(R, np.array([1.0 + 0j]), cfg)
+    assert traj.status == "exploded"
+    assert len(calls) == len(traj.times) < cfg.N
+
+
+def test_scheme2_decimal_path_rejects_complex_state():
+    cfg = SchemeConfig(T=1.0, N=4, M=8)
+    with pytest.raises(ValueError, match="complex"):
+        scheme2_transport(lambda y: 0 * y, np.array([0.3 + 0.1j]), cfg)
+
+
+def test_scheme2_decimal_exp_overflow_is_an_explosion():
+    # lam = 2; one half-step takes u_0 from 1 to about 1.25e29, whose exp
+    # lies far past any decimal exponent: a non-finite value the explosion
+    # test cuts
+    def R(y):
+        out = 0 * y
+        out[0] = 10**30 * y[0] * y[0]
+        return out
+
+    cfg = SchemeConfig(T=1.0, N=4, M=8)
+    traj, vals = scheme2_transport(R, np.array([1.0 + 0j]), cfg)
+    assert traj.status == "exploded"
+    assert traj.explosion_time == pytest.approx(0.25)
+    assert np.allclose(vals, [math.e], rtol=1e-15)
 
 
 # -- scheme 3 -------------------------------------------------------------------
