@@ -3,34 +3,21 @@
 States are monomial coefficient sequences u = (u_0, ..., u_K) representing
 h_u(x) = sum u_k x^k.  The product is the Cauchy convolution, derivatives act
 as index shifts with small integer weights (exact at any precision), and the
-quadratic/linear operators mirror their tensor-algebra counterparts.  This is
-the only scalar basis here: the signature (factorial) basis, u_k -> k! u_k,
-is the d=1 case of ``sigcalc.tensor`` and ``sigcalc.operators``, reached
-through ``to_factorial_basis``.
+quadratic/linear operators mirror their tensor-algebra counterparts.  Each
+``Model1D`` is immutable and compiles once into a ``ScalarField``, the d=1,
+monomial-basis counterpart of ``SdeSpec.field``: ``R_pow``, ``L_pow`` and
+``linear_matrix_1d`` all read it, on float, complex and object (Decimal,
+mpf) states.  This is the only scalar basis here: the signature (factorial)
+basis, u_k -> k! u_k, is the d=1 case of ``sigcalc.tensor`` and
+``sigcalc.operators``, reached through ``to_factorial_basis``.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-
-def _real_if_exact(c: np.ndarray) -> np.ndarray:
-    """Real part of a complex array whose imaginary part is all zero."""
-    if c.dtype.kind == "c" and not np.any(c.imag):
-        return c.real
-    return c
-
-
-def _exactly_as(c: np.ndarray, like) -> np.ndarray:
-    """A float array as objects of the type of ``like``, each entry converted
-    exactly (Decimal(float) and mpf(float) are exact; Decimal refuses float
-    operands).  Other arrays, and ``like`` a Python number, pass through."""
-    if c.dtype.kind != "f" or isinstance(like, (int, float)):
-        return c
-    return np.array([type(like)(x) for x in c.tolist()], dtype=object)
 
 
 @dataclass
@@ -107,38 +94,9 @@ class Seq:
         return Seq(self.K, -self.coeffs)
 
     def conv(self, other: "Seq") -> "Seq":
-        """Cauchy product truncated at degree K.
-
-        When either factor holds objects (extended-precision scalars), only
-        the products of nonzero pairs with index sum <= K are formed, a
-        complex factor with zero imaginary part enters as real, so a real
-        state stays real, and a real float factor enters converted exactly
-        to the other factor's element type.
-        """
+        """Cauchy product truncated at degree K."""
         self._check(other)
-        u, v = self.coeffs, other.coeffs
-        if u.dtype != object and v.dtype != object:
-            return Seq(self.K, np.convolve(u, v)[: self.K + 1])
-        u, v = _real_if_exact(u), _real_if_exact(v)
-        iu, iv = np.flatnonzero(u != 0), np.flatnonzero(v != 0)
-        a, b = np.nonzero(iu[:, None] + iv[None, :] <= self.K)
-        i, j = iu[a], iv[b]
-        out = np.zeros(self.K + 1, dtype=object)
-        if i.size:
-            u, v = _exactly_as(u, v[j[0]]), _exactly_as(v, u[i[0]])
-            np.add.at(out, i + j, u[i] * v[j])
-        return Seq(self.K, out)
-
-    def bracket1(self) -> "Seq":
-        """Coefficients of h_u': u_k -> (k+1) u_{k+1}."""
-        out = np.zeros_like(self.coeffs)
-        k = np.arange(1, self.K + 1)
-        out[:-1] = k * self.coeffs[1:]
-        return Seq(self.K, out)
-
-    def bracket2(self) -> "Seq":
-        """Coefficients of h_u'': u_k -> (k+1)(k+2) u_{k+2}."""
-        return self.bracket1().bracket1()
+        return Seq(self.K, np.convolve(self.coeffs, other.coeffs)[: self.K + 1])
 
     def eval(self, x) -> complex | np.ndarray:
         """Horner evaluation of h_u."""
@@ -163,9 +121,19 @@ def from_factorial_basis(u: Seq) -> Seq:
     return Seq(u.K, u.coeffs / _factorial_weights(u.K))
 
 
-@dataclass
+def _read_only(s: Seq) -> Seq:
+    out = s.copy()
+    out.coeffs.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Model1D:
-    """Scalar polynomial diffusion: drift and squared-diffusion coefficients."""
+    """Scalar polynomial diffusion: drift and squared-diffusion coefficients.
+
+    The coefficients are stored as read-only copies; ``field`` compiles them
+    on first use.
+    """
 
     b: Seq
     a: Seq
@@ -175,6 +143,8 @@ class Model1D:
 
     def __post_init__(self):
         self.b._check(self.a)
+        object.__setattr__(self, "b", _read_only(self.b))
+        object.__setattr__(self, "a", _read_only(self.a))
         if self.state_interval is not None:
             lo, hi = self.state_interval
             grid = np.linspace(lo, hi, 201)
@@ -189,6 +159,10 @@ class Model1D:
     def K(self) -> int:
         return self.b.K
 
+    @cached_property
+    def field(self) -> "ScalarField":
+        return ScalarField(self)
+
     def with_truncation(self, K: int) -> "Model1D":
         return Model1D(
             b=self.b.with_truncation(K),
@@ -199,21 +173,156 @@ class Model1D:
         )
 
 
-def R_pow(u: Seq, m: Model1D) -> Seq:
-    """Quadratic operator in the monomial basis:
-    b conv u' + (1/2) a conv (u'' + u' conv u').
+def _support(c: Seq, scale: float = 1.0) -> tuple:
+    """(index, value * scale) of each nonzero coefficient, the value a float
+    when its imaginary part is zero."""
+    out = []
+    for i in np.flatnonzero(c.coeffs):
+        z = complex(c.coeffs[i] * scale)
+        out.append((int(i), z if z.imag else z.real))
+    return tuple(out)
 
-    The 1/2 scales a, exactly in binary, so that an object state (Decimal
-    refuses float operands) meets no float factor outside ``conv``.
+
+class ScalarField:
+    """R and L of one scalar model, compiled over the monomial basis.
+
+    With v = u' (v_k = (k+1) u_{k+1}) and u'' = v', R(u) = b v + (a/2)(u'' +
+    v v) and L(u) = b v + (a/2) u'', products being Cauchy products.  The
+    field holds the derivative weights, the nonzero coefficients of b and
+    a/2, and the index pairs of the Cauchy square v v, each unordered pair
+    once (p <= q, p + q <= K), sorted by output index.
+
+    Float and complex states square with ``np.convolve`` and add each
+    coefficient's shifted product, drift and diffusion parts apart.  Where
+    the dense convolution of a coefficient series had only exact sums to
+    form, one product per output or products by +-1/2 (Brownian motion,
+    Jacobi), the bits are the same; otherwise they differ by a few ulps,
+    since ``np.convolve`` may fuse its multiply-adds.  Object states
+    (Decimal, mpf) form only the products of nonzero entries, each
+    off-diagonal pair of the square once and doubled by an addition, and the
+    coefficients enter converted exactly into the state's element type
+    (Decimal refuses float operands); entries that no product reaches stay
+    the int 0, so a real state stays real.
     """
-    u1 = u.bracket1()
-    u2 = u.bracket2()
-    return m.b.conv(u1) + (m.a * 0.5).conv(u2 + u1.conv(u1))
+
+    def __init__(self, model: Model1D):
+        self.K = model.K
+        self.weights = np.arange(1, self.K + 1)
+        self.drift = _support(model.b)
+        self.diffusion = _support(model.a, 0.5)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, q) of the square's terms v_p v_q, sorted by p + q, then p."""
+        p, q = np.triu_indices(self.K)
+        keep = p + q <= self.K
+        p, q = p[keep], q[keep]
+        order = np.argsort(p + q, kind="stable")
+        return p[order], q[order]
+
+    def apply(self, u: np.ndarray, quadratic: bool) -> np.ndarray:
+        """R(u) when ``quadratic``, else L(u), on a coefficient array."""
+        K, w = self.K, self.weights
+        if len(u) != K + 1:
+            raise ValueError(f"mismatched truncations {K} vs {len(u) - 1}")
+        if u.dtype == object:
+            return self._apply_exact(u, quadratic)
+        v = np.empty_like(u)
+        v[-1] = 0
+        np.multiply(w, u[1:], out=v[:-1])
+        if quadratic:
+            s = np.convolve(v, v)[: K + 1]
+        else:
+            s = np.zeros_like(u)
+        s[:-1] += w * v[1:]
+        out = _shifted_sum(self.diffusion, s)
+        if self.drift:
+            out = _shifted_sum(self.drift, v) + out
+        return out
+
+    def _apply_exact(self, u: np.ndarray, quadratic: bool) -> np.ndarray:
+        K, w = self.K, self.weights
+        nz = np.flatnonzero(u != 0)
+        if not nz.size:
+            return np.zeros(K + 1, dtype=object)
+        like = u[nz[0]]
+        exact = (lambda c: c) if isinstance(like, (int, float)) else type(like)
+        iv = nz[nz > 0] - 1  # support of v
+        v = np.zeros(K + 1, dtype=object)
+        v[iv] = w[iv] * u[iv + 1]
+        i2 = iv[iv > 0] - 1  # support of u'', then of u'' + v v
+        s = np.zeros(K + 1, dtype=object)
+        s[i2] = w[i2] * v[i2 + 1]
+        if quadratic:
+            p, q = self.pairs
+            on = np.zeros(K + 1, dtype=bool)
+            on[iv] = True
+            keep = on[p] & on[q]
+            p, q = p[keep], q[keep]
+            if p.size:
+                prod = v[p] * v[q]
+                off = p != q
+                prod[off] = prod[off] + prod[off]
+                n = p + q
+                first = np.flatnonzero(np.diff(n, prepend=-1))
+                rows = n[first]
+                s[rows] = s[rows] + np.add.reduceat(prod, first)
+                joined = np.zeros(K + 1, dtype=bool)
+                joined[i2] = joined[rows] = True
+                i2 = np.flatnonzero(joined)
+        out = _shifted_sum_exact(self.diffusion, s, i2, exact)
+        if self.drift:
+            out = _shifted_sum_exact(self.drift, v, iv, exact) + out
+        return out
+
+    def linear_matrix(self) -> np.ndarray:
+        """Matrix of L on the monomials 1, x, ..., x^K: column j holds L(x^j).
+
+        Each entry is at most one drift product plus one diffusion product,
+        with the derivative weights j and j (j - 1)."""
+        K = self.K
+        j = np.arange(K + 1)
+        G = np.zeros((K + 1, K + 1), dtype=np.complex128)
+        for terms, shift, weight in ((self.drift, 1, j), (self.diffusion, 2, j * (j - 1))):
+            for i, c in terms:
+                cols = j[(j >= shift) & (j + i - shift <= K)]
+                G[cols + i - shift, cols] += c * weight[cols]
+        return G if G.imag.any() else G.real.copy()
+
+
+def _shifted_sum(terms: tuple, x: np.ndarray) -> np.ndarray:
+    """Cauchy product of a sparse series, given as (index, value) terms,
+    with x, by shift and add.  A term at index 0 starts the sum, which saves
+    a zero array and an add on the float path's most frequent call."""
+    if terms and terms[0][0] == 0:
+        out, terms = terms[0][1] * x, terms[1:]
+    else:
+        out = np.zeros_like(x)
+    for i, c in terms:
+        out[i:] += c * x[: len(x) - i]
+    return out
+
+
+def _shifted_sum_exact(terms: tuple, x: np.ndarray, support: np.ndarray, exact) -> np.ndarray:
+    """The same on an object array, over x's support, each value converted
+    by ``exact``."""
+    K = len(x) - 1
+    out = np.zeros(K + 1, dtype=object)
+    for i, c in terms:
+        j = support[support <= K - i]
+        out[j + i] = out[j + i] + exact(c) * x[j]
+    return out
+
+
+def R_pow(u: Seq, m: Model1D) -> Seq:
+    """Quadratic operator in the monomial basis,
+    b conv u' + (1/2) a conv (u'' + u' conv u'), read from the model's field."""
+    return Seq(u.K, m.field.apply(u.coeffs, quadratic=True))
 
 
 def L_pow(u: Seq, m: Model1D) -> Seq:
     """Linear operator in the monomial basis: b conv u' + (1/2) a conv u''."""
-    return m.b.conv(u.bracket1()) + (m.a * 0.5).conv(u.bracket2())
+    return Seq(u.K, m.field.apply(u.coeffs, quadratic=False))
 
 
 def exp_conv(u: Seq) -> Seq:
@@ -234,13 +343,7 @@ def linear_matrix_1d(m: Model1D, K: int) -> np.ndarray:
 
     Column j holds the coefficients of L_pow applied to x^j.
     """
-    mm = m if m.K == K else m.with_truncation(K)
-    G = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    for j in range(K + 1):
-        G[:, j] = L_pow(Seq.delta(j, K), mm).coeffs
-    if np.all(G.imag == 0):
-        return G.real.copy()
-    return G
+    return (m if m.K == K else m.with_truncation(K)).field.linear_matrix()
 
 
 # -- stock models ------------------------------------------------------------

@@ -84,6 +84,61 @@ def L_reference(u, spec):
     return out
 
 
+def _derivative(u):
+    """u -> u' in the monomial basis, (k + 1) u_{k+1} at k, padded with 0."""
+    out = np.zeros_like(u)
+    out[:-1] = np.arange(1, len(u)) * u[1:]
+    return out
+
+
+def _cauchy(x, y):
+    """Cauchy product truncated to len(x): ``np.convolve`` on numbers; on
+    objects, the products of nonzero pairs added in (i, j) order."""
+    K = len(x) - 1
+    if x.dtype != object and y.dtype != object:
+        return np.convolve(x, y)[: K + 1]
+    out = np.zeros(K + 1, dtype=object)
+    for i in np.flatnonzero(x != 0):
+        for j in np.flatnonzero(y != 0):
+            if i + j <= K:
+                out[i + j] = out[i + j] + x[i] * y[j]
+    return out
+
+
+def _pow_coefficients(model, u):
+    """b and a/2 of a scalar model, for an object state as exact objects of
+    the type of its first nonzero entry (a real model only)."""
+    b, ah = model.b.coeffs, model.a.coeffs * 0.5
+    nonzero = [z for z in u if z != 0] if u.dtype == object else []
+    if not nonzero:
+        return b, ah
+    scalar = type(nonzero[0])
+    return tuple(
+        np.array([scalar(float(z.real)) if z else 0 for z in c], dtype=object)
+        for c in (b, ah)
+    )
+
+
+def R_pow_reference(u, model):
+    """R(u) = b u' + (1/2) a (u'' + u' u'), with dense Cauchy products.
+
+    The formula the scalar operators evaluated before the model was
+    compiled; ``ScalarField`` is checked against it.  Takes and returns
+    coefficient arrays.
+    """
+    b, ah = _pow_coefficients(model, u)
+    u1 = _derivative(u)
+    u2 = _derivative(u1)
+    return _cauchy(b, u1) + _cauchy(ah, u2 + _cauchy(u1, u1))
+
+
+def L_pow_reference(u, model):
+    """L(u) = b u' + (1/2) a u'', with dense Cauchy products."""
+    b, ah = _pow_coefficients(model, u)
+    u1 = _derivative(u)
+    return _cauchy(b, u1) + _cauchy(ah, _derivative(u1))
+
+
 def random_path(rng, d, n_segments=4, scale=1.0):
     from sigcalc.signature import PiecewisePath
 

@@ -11,6 +11,7 @@ from sigcalc.montecarlo import (
     McEstimate,
     SimConfig,
     _chen_exp_step,
+    _hermite_rule,
     estimate,
     gauss_hermite_expectation,
     simulate_1d,
@@ -176,6 +177,21 @@ def test_gauss_hermite_closed_forms():
 
 def test_gauss_hermite_zero_variance():
     assert abs(gauss_hermite_expectation(lambda z: np.cos(z), 0.0) - 1.0) < 1e-14
+
+
+def test_hermite_rule_is_finite_at_every_doubling():
+    # gauss_hermite_expectation doubles its nodes 200 -> 3200; numpy's
+    # hermgauss returns non-finite weights from n = 400 on, so scipy's
+    # roots_hermite stays.  Its outermost weights (|x| > 27) underflow to
+    # exactly 0; every weight inside |x| < 25 is positive.
+    for j in range(5):
+        n = 200 * 2**j
+        x, w = _hermite_rule(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+        assert np.all(np.diff(x) > 0)
+        assert np.all(w >= 0.0) and np.all(w[np.abs(x) < 25.0] > 0.0)
+        assert abs(w.sum() - math.sqrt(math.pi)) < 1e-14
 
 
 def test_gauss_hermite_vs_mc():

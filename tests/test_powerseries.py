@@ -1,14 +1,16 @@
 """d=1 power-sequence calculus, and its image in the d=1 tensor algebra."""
 
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from conftest import d1_image
+from conftest import L_pow_reference, R_pow_reference, d1_image
 from sigcalc.operators import L_op, R_op
 from sigcalc.powerseries import (
     L_pow,
@@ -45,12 +47,15 @@ def test_conv_matches_polynomial_product(rng):
 
 
 def test_brackets_match_polynomial_derivatives(rng):
+    # the field's derivative weights, read through L: with b = 1, a = 0 it
+    # is d/dx, and for Brownian motion (1/2) d^2/dx^2
     K = 10
     u = random_seq(rng, K)
+    first = Model1D(b=Seq.delta(0, K), a=Seq.zero(K), x0=0.0)
     d1 = P.polyder(u.coeffs)
     d2 = P.polyder(u.coeffs, 2)
-    assert np.allclose(u.bracket1().coeffs[:K], d1, atol=1e-12)
-    assert np.allclose(u.bracket2().coeffs[: K - 1], d2, atol=1e-12)
+    assert np.allclose(L_pow(u, first).coeffs[:K], d1, atol=1e-12)
+    assert np.allclose(2.0 * L_pow(u, brownian_model(K)).coeffs[: K - 1], d2, atol=1e-12)
 
 
 def test_factorial_basis_roundtrip(rng):
@@ -240,3 +245,110 @@ def test_real_mp_state_stays_real(op, rng):
             ref = op(Seq(K, vals), model).coeffs
             got = np.array([float(z) for z in out])
             assert np.allclose(got, ref.real, rtol=1e-13, atol=1e-13)
+
+
+def _unit_roundoff(scalar):
+    """Relative rounding unit of the current precision context of scalar."""
+    import decimal
+
+    from mpmath import mp
+
+    if scalar is decimal.Decimal:
+        return 10.0 ** (1 - decimal.getcontext().prec)
+    return 2.0 ** (1 - mp.prec)
+
+
+def _magnitude(model, u):
+    """|b| |u'| + |a/2| (|u''| + |u'| |u'|): the size of R's terms."""
+    absu = np.abs(np.array([complex(z) for z in u]))
+    b, ah = np.abs(model.b.coeffs), np.abs(model.a.coeffs) * 0.5
+    k = np.arange(1, len(u))
+    v = np.append(k * absu[1:], 0.0)
+    v2 = np.append(k * v[1:], 0.0)
+    K = len(u) - 1
+    return np.convolve(b, v)[: K + 1] + np.convolve(ah, v2 + np.convolve(v, v)[: K + 1])[: K + 1]
+
+
+@seed(20240817)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    K=st.integers(0, 24),
+    kind=st.sampled_from(["brownian", "jacobi", "sparse", "dense"]),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+@example(K=0, kind="dense", rng_seed=1)
+@example(K=0, kind="brownian", rng_seed=2)
+@example(K=1, kind="sparse", rng_seed=3)
+@example(K=1, kind="brownian", rng_seed=4)
+def test_scalar_field_matches_reference(K, kind, rng_seed):
+    # R, L and linear_matrix_1d read the compiled field; the reference is the
+    # dense formula.  Brownian and Jacobi models give its bits on float and
+    # complex states; other models, and object states, where the field sums
+    # in another order, agree to a few units of roundoff in the size of the
+    # summed terms.
+    rng = np.random.default_rng(rng_seed)
+    if kind == "brownian":
+        model = brownian_model(K)
+    elif kind == "jacobi":
+        K = max(K, 2)
+        model = jacobi_model(K)
+    else:
+        size = 2 if kind == "sparse" else K + 1
+        b, a = np.zeros(K + 1), np.zeros(K + 1)
+        b[rng.integers(0, K + 1, size=size)] = rng.uniform(-1.0, 1.0, size=size)
+        a[rng.integers(0, K + 1, size=size)] = rng.uniform(-1.0, 1.0, size=size)
+        b[rng.integers(0, K + 1)] = 0.25  # a nonzero drift
+        model = Model1D(b=Seq(K, b), a=Seq(K, a), x0=0.0)
+    bitwise = kind in ("brownian", "jacobi")
+    vals = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    states = [("float", vals.real, None), ("complex", vals, None)]
+    states += [(scalars.__name__, vals.real, scalars) for scalars in EXACT_SCALARS]
+    for name, x, scalars in states:
+        context, scalar = scalars(40) if scalars else (contextlib.nullcontext(), None)
+        with context:
+            u = np.array([scalar(float(z)) for z in x], dtype=object) if scalar else x
+            eps = _unit_roundoff(scalar) if scalar else 2.0**-53
+            for quadratic, ref_op in ((True, R_pow_reference), (False, L_pow_reference)):
+                got, ref = model.field.apply(u, quadratic), ref_op(u, model)
+                assert len(got) == K + 1
+                if not scalar:
+                    ref = ref if np.iscomplexobj(x) else ref.real
+                    if bitwise:
+                        assert got.dtype == ref.dtype, name
+                        assert got.tobytes() == ref.tobytes(), (name, quadratic)
+                        continue
+                    diff = np.abs(got - ref)
+                else:
+                    assert got.dtype == object
+                    # entries no product reaches are the int 0 in both
+                    assert [type(z) for z in got] == [type(z) for z in ref], name
+                    diff = np.array([abs(float(g - r)) for g, r in zip(got, ref)])
+                bound = 2 * (K + 2) * eps * _magnitude(model, u)
+                assert np.all(diff <= bound), (name, quadratic, np.max(diff - bound))
+    G = linear_matrix_1d(model, K)
+    assert G.dtype == np.float64
+    for j in range(K + 1):
+        col = L_pow_reference(Seq.delta(j, K).coeffs, model)
+        assert np.array_equal(G[:, j], col.real), j
+
+
+def test_model_coefficients_are_read_only():
+    K = 6
+    b = Seq.from_list([0.1, -0.2], K=K)
+    a = Seq.from_list([1.0, 0.0, 0.5], K=K)
+    model = Model1D(b=b, a=a, x0=0.0)
+    for c in (model.b, model.a):
+        with pytest.raises(ValueError):
+            c.coeffs[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.b = b
+    b.coeffs[0] = 9.0  # the caller's series stays its own, and writable
+    assert model.b.coeffs[0] == 0.1
+    field = model.field
+    assert model.field is field
+    low = model.with_truncation(3)
+    assert low.field is not field and low.field.K == 3
+    u = Seq.from_list([0.3, 0.2, -0.1, 0.05], K=3)
+    assert np.allclose(R_pow(u, low).coeffs, R_pow_reference(u.coeffs, low), rtol=1e-15, atol=0)
+    with pytest.raises(ValueError, match="mismatched truncations"):
+        R_pow(u, model)
