@@ -10,7 +10,6 @@ from .operators import (
     L_op,
     poly_from_affine,
     linear_matrix,
-    linear_to_riccati,
     brownian_spec,
     black_scholes_spec,
     expected_signature_matrix,

@@ -50,6 +50,21 @@ def _finish(report: RunReport, out: str, check: bool) -> None:
         raise click.ClickException("failed checks: " + ", ".join(failed))
 
 
+def _int_list(minimum: int):
+    """Option callback: a comma list of integers, each at least minimum."""
+
+    def parse(ctx, param, value: str) -> list[int]:
+        try:
+            out = [int(x) for x in value.split(",") if x]
+        except ValueError:
+            raise click.BadParameter(f"{value!r} is not a comma list of integers") from None
+        if any(v < minimum for v in out):
+            raise click.BadParameter(f"every entry of {value!r} must be >= {minimum}")
+        return out
+
+    return parse
+
+
 @click.group()
 def main():
     """Coefficient-ODE calculators for signature and polynomial diffusions."""
@@ -61,7 +76,7 @@ def main():
 @click.option("--y0", type=float, default=1.0, show_default=True)
 @click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
 @click.option("--k", "--K", "K", type=int, default=20, show_default=True)
-@click.option("--steps", type=int, default=1000, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--out", type=str, default="gbm_laplace", show_default=True)
 @click.option("--check", is_flag=True)
 def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
@@ -126,20 +141,18 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
 
 @main.command("bm-quartic")
 @click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
-@click.option("--k", "--K", "K", type=int, default=160, show_default=True)
-@click.option("--n", "--N", "N", type=int, default=80, show_default=True)
-@click.option("--m", "--M", "M", type=str, default="80,160,320", show_default=True)
-@click.option("--riccati-k", type=str, default="10,20,40", show_default=True, help="comma list of direct-ODE truncations to overlay")
+@click.option("--k", "--K", "K", type=click.IntRange(min=4), default=160, show_default=True)
+@click.option("--n", "--N", "N", type=click.IntRange(min=1), default=80, show_default=True)
+@click.option("--m", "--M", "Ms", type=str, default="80,160,320", show_default=True, callback=_int_list(1))
+@click.option("--riccati-k", "rk", type=str, default="10,20,40", show_default=True, callback=_int_list(4), help="comma list of direct-ODE truncations to overlay")
 @click.option("--out", type=str, default="bm_quartic", show_default=True)
 @click.option("--check", is_flag=True)
-def cmd_bm_quartic(T, K, N, M, riccati_k, out, check):
+def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
     """Quartic-exponent functional E[exp(-B_t^4/24)] of Brownian motion.
 
     Runs the transport mixture for each half-step count M and compares the
     surviving portion against Gaussian quadrature.
     """
-    Ms = [int(x) for x in M.split(",") if x]
-    rk = [int(x) for x in riccati_k.split(",") if x]
     report = RunReport(
         "bm-quartic", {"T": T, "K": K, "N": N, "M": Ms, "riccati_K": rk}
     )
@@ -214,11 +227,11 @@ def cmd_bm_quartic(T, K, N, M, riccati_k, out, check):
 
 @main.command("jacobi-mgf")
 @click.option("--t", "--T", "T", type=float, default=1000.0, show_default=True)
-@click.option("--k", "--K", "K", type=int, default=40, show_default=True)
+@click.option("--k", "--K", "K", type=click.IntRange(min=2), default=40, show_default=True)
 @click.option("--x0", type=float, default=0.5, show_default=True)
 @click.option("--cmin", type=float, default=-3.0, show_default=True)
 @click.option("--cmax", type=float, default=3.0, show_default=True)
-@click.option("--num", type=int, default=25, show_default=True)
+@click.option("--num", type=click.IntRange(min=1), default=25, show_default=True)
 @click.option("--out", type=str, default="jacobi_mgf", show_default=True)
 @click.option("--check", is_flag=True)
 def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
@@ -228,7 +241,10 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
         "jacobi-mgf",
         {"T": T, "K": K, "x0": x0, "cmin": cmin, "cmax": cmax, "num": num},
     )
-    model = powerseries.jacobi_model(K, x0=x0)
+    try:
+        model = powerseries.jacobi_model(K, x0=x0)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--x0'") from None
     G = powerseries.linear_matrix_1d(model, K)
     cs = list(np.linspace(cmin, cmax, num))
     rows = []
@@ -261,7 +277,7 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
 @click.option("--gamma1", type=float, default=0.0, show_default=True)
 @click.option("--gamma2", type=float, default=0.0, show_default=True)
 @click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=1000, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--out", type=str, default="levy_area", show_default=True)
 @click.option("--check", is_flag=True)
 def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .operators import SdeSpec
 from .powerseries import Model1D
-from .tensor import tables
+from .tensor import level_offsets, n_words
 
 
 @dataclass
@@ -183,8 +183,8 @@ def simulate_sigsde(
         raise ValueError(
             f"signature truncation {N_sig} below characteristic support {need}"
         )
-    tab = tables(d, N_sig)
-    offs = tab.offsets
+    offs = level_offsets(d, N_sig)
+    size = n_words(d, N_sig)
     b_vecs = [c.with_truncation(N_sig).coeffs.real for c in spec.b]
     a_vecs = [[c.with_truncation(N_sig).coeffs.real for c in row] for row in spec.a]
     diag_only = all(
@@ -206,15 +206,15 @@ def simulate_sigsde(
 
     # per-word mean and sum of squared deviations, merged block by block
     # (Chan et al.), so words that every path shares get a zero spread
-    mean = np.zeros(tab.size)
-    m2 = np.zeros(tab.size)
+    mean = np.zeros(size)
+    m2 = np.zeros(size)
     finals = np.empty((cfg.n_paths, d))
     fn_samples = [] if functional is not None else None
     clamped = 0
 
     for blk, nb in _blocks(cfg.n_paths, cfg.block_size):
         rng = _block_rng(cfg.seed, blk)
-        sig = np.zeros((tab.size, nb))
+        sig = np.zeros((size, nb))
         sig[0] = 1.0
         levels = [sig[offs[n] : offs[n + 1]] for n in range(N_sig + 1)]
         work = [None] + [np.empty((d**m, nb)) for m in range(1, N_sig + 1)]

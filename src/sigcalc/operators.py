@@ -11,14 +11,15 @@ shuffle exponentials L(exp u) = exp(u) sh R(u).
 
 Both operators are fixed sums of monomials in the coefficients, so each model
 is compiled once into a ``QuadraticField`` of index arrays: R, L, the linear
-matrix and the expected-signature generator all read that one field.  A
+matrix and the expected-signature generator all read that one field.  No
+right shift or shuffle of the state is taken at run time; the shift-and-
+shuffle formula is the tests' reference for the field.  A
 ``SdeSpec`` is immutable, with read-only characteristics, so the field it
 caches cannot go stale.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,39 +86,6 @@ class SdeSpec:
             x0=self.x0,
             b=[c.with_truncation(N) for c in self.b],
             a=[[c.with_truncation(N) for c in row] for row in self.a],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "N": self.N_alg,
-                "x0": list(self.x0),
-                "b": [c.to_text() for c in self.b],
-                "a": [[c.to_text() for c in row] for row in self.a],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str, N: int | None = None) -> "SdeSpec":
-        data = json.loads(text)
-        d = int(data["d"])
-        if N is None and "N" in data:
-            N = int(data["N"])
-        if N is None:
-            nmax = 0
-            for t in data["b"]:
-                nmax = max(nmax, TensorCoeffs.from_text(t, d=d).N)
-            for row in data["a"]:
-                for t in row:
-                    nmax = max(nmax, TensorCoeffs.from_text(t, d=d).N)
-            N = nmax
-        return cls(
-            d=d,
-            x0=np.asarray(data["x0"], dtype=np.float64),
-            b=[TensorCoeffs.from_text(t, d=d, N=N) for t in data["b"]],
-            a=[[TensorCoeffs.from_text(t, d=d, N=N) for t in row] for row in data["a"]],
         )
 
 
@@ -321,40 +289,6 @@ def linear_matrix(spec: SdeSpec, N: int) -> np.ndarray:
     G = np.zeros((sp.field.size, sp.field.size), dtype=terms.w.dtype)
     G[terms.k, terms.p] = terms.w  # merged terms: one per (k, p)
     return G
-
-
-def linear_to_riccati(
-    times: np.ndarray,
-    c_states: list[TensorCoeffs],
-    u0: TensorCoeffs,
-    spec: SdeSpec,
-) -> list[TensorCoeffs]:
-    """Rebuild Riccati solutions from a linear-equation trajectory.
-
-    Given c(t) with nonvanishing scalar part and c(0) = shuffle_exp(u0), the
-    exponent is psi(t) = [u0_0 + int (L c)_0 / c_0] e_0 + shuffle_log(c/c_0).
-    """
-    times = np.asarray(times, dtype=np.float64)
-    if len(times) != len(c_states):
-        raise ValueError("times and states disagree in length")
-    c0 = np.array([c.coeffs[0] for c in c_states])
-    if np.min(np.abs(c0)) < 1e-300:
-        raise ValueError(
-            "scalar part of the linear solution vanishes; the exponent "
-            "representation breaks down (a mixture reconstruction is needed)"
-        )
-    integrand = np.array(
-        [L_op(c, spec).coeffs[0] / c.coeffs[0] for c in c_states]
-    )
-    psi0 = u0.coeffs[0] + np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))]
-    )
-    out = []
-    for k, c in enumerate(c_states):
-        bar = (c * (1.0 / c.coeffs[0])).shuffle_log()
-        bar.coeffs[0] = psi0[k]
-        out.append(bar)
-    return out
 
 
 def expected_signature_matrix(spec: SdeSpec, N: int) -> np.ndarray:

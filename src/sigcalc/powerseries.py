@@ -147,6 +147,11 @@ class Model1D:
         object.__setattr__(self, "a", _read_only(self.a))
         if self.state_interval is not None:
             lo, hi = self.state_interval
+            if not lo <= self.x0 <= hi:
+                raise ValueError(
+                    f"x0={self.x0} lies outside the state interval [{lo}, {hi}] "
+                    f"of {self.name}"
+                )
             grid = np.linspace(lo, hi, 201)
             vals = self.a.eval(grid)
             if np.max(np.abs(vals.imag)) > 0 or np.min(vals.real) < -1e-9:

@@ -46,6 +46,8 @@ class SchemeConfig:
             raise ValueError("horizon must be >= 0")
         if self.steps < 1:
             raise ValueError("need at least one step")
+        if self.N < 1 or self.M < 1:
+            raise ValueError("transport needs N >= 1 grid points and M >= 1 half-steps")
 
     @property
     def transport_lambda(self) -> float:

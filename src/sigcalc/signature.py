@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import TensorCoeffs, tables
+from .tensor import TensorCoeffs, level_offsets, tables
 
 
 @dataclass
@@ -87,7 +87,7 @@ def segment_signature(increment: np.ndarray, N: int) -> TensorCoeffs:
     v = np.asarray(increment, dtype=np.complex128).ravel()
     d = len(v)
     out = TensorCoeffs(d, N)
-    offs = tables(d, N).offsets
+    offs = level_offsets(d, N)
     lvl = np.array([1.0 + 0j])
     out.coeffs[0] = 1.0
     for n in range(1, N + 1):

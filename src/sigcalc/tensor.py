@@ -7,15 +7,13 @@ are ordered lexicographically, so the rank of a word I = (i_1, ..., i_n) is
 
     offset(n) + sum_j (i_j - 1) * d^(n - j).
 
-Both products, the shuffle/concatenation exponentials and logarithms, the
-one- and two-letter right shifts, dilation, pairing and the seminorm family
-operate on this flat layout.
+Both products, the shuffle/concatenation exponentials and logarithms,
+pairing and the seminorm family operate on this flat layout.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -88,14 +86,6 @@ def all_words(d: int, N: int):
         yield from words_of_level(d, n)
 
 
-def word_factorial(word: Word) -> int:
-    """Product of factorials of the letter multiplicities."""
-    out = 1
-    for c in Counter(word).values():
-        out *= math.factorial(c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def shuffle_word_pair(left: Word, right: Word) -> tuple[tuple[Word, int], ...]:
     """All words arising from shuffling two words, with multiplicities."""
@@ -112,16 +102,11 @@ def shuffle_word_pair(left: Word, right: Word) -> tuple[tuple[Word, int], ...]:
 
 
 class _Tables:
-    """Precomputed sparse index tables for one (d, N) pair."""
+    """Sparse index tables of the shuffle and concatenation products for one
+    (d, N) pair."""
 
     def __init__(self, d: int, N: int):
-        self.d = d
-        self.N = N
-        self.size = n_words(d, N)
-        self.offsets = level_offsets(d, N)
         words = list(all_words(d, N))
-        self.words = words
-        self.level = np.array([len(w) for w in words], dtype=np.int64)
 
         # shuffle triplets, grouped contiguously per word pair
         tri_i, tri_j, tri_k, tri_c = [], [], [], []
@@ -156,12 +141,6 @@ class _Tables:
         self.cc_i = np.array(ci, dtype=np.int64)
         self.cc_j = np.array(cj, dtype=np.int64)
         self.cc_k = np.array(ck, dtype=np.int64)
-
-        # right shifts: parent word index and last letter(s)
-        self.last = np.array([w[-1] if w else 0 for w in words], dtype=np.int64)
-        self.parent = np.array(
-            [word_index(w[:-1], d) if w else 0 for w in words], dtype=np.int64
-        )
 
 
 _table_cache: dict[tuple[int, int], _Tables] = {}
@@ -246,14 +225,6 @@ class TensorCoeffs:
 
     def __setitem__(self, word: Word, value: complex):
         self.coeffs[word_index(word, self.d)] = value
-
-    def level_slice(self, n: int) -> np.ndarray:
-        offs = tables(self.d, self.N).offsets
-        return self.coeffs[offs[n] : offs[n + 1]]
-
-    def nonzero_words(self) -> list[Word]:
-        tab = tables(self.d, self.N)
-        return [tab.words[k] for k in np.nonzero(self.coeffs)[0]]
 
     def max_support_level(self) -> int:
         nz = np.nonzero(self.coeffs)[0]
@@ -351,32 +322,7 @@ class TensorCoeffs:
             acc = acc + term
         return acc
 
-    # -- shifts, dilation, pairing ---------------------------------------
-
-    def shift1(self) -> list["TensorCoeffs"]:
-        """Right one-letter shifts: component k collects words ending in k.
-
-        Returns d elements truncated at N-1.
-        """
-        if self.N < 1:
-            raise ValueError("shift needs truncation level >= 1")
-        tab = tables(self.d, self.N)
-        out = [TensorCoeffs(self.d, self.N - 1) for _ in range(self.d)]
-        for k in range(1, self.d + 1):
-            mask = tab.last == k
-            np.add.at(out[k - 1].coeffs, tab.parent[mask], self.coeffs[mask])
-        return out
-
-    def shift2(self) -> list[list["TensorCoeffs"]]:
-        """Right two-letter shifts: entry [k][l] strips suffix (k+1, l+1)."""
-        if self.N < 2:
-            raise ValueError("second shift needs truncation level >= 2")
-        first = self.shift1()
-        return [c.shift1() for c in first]
-
-    def dilate(self, lam: complex) -> "TensorCoeffs":
-        tab = tables(self.d, self.N)
-        return TensorCoeffs(self.d, self.N, self.coeffs * lam**tab.level)
+    # -- pairing ------------------------------------------------------------
 
     def pair(self, other: "TensorCoeffs") -> complex:
         """Bilinear pairing sum_I a_I b_I over common levels (no conjugation)."""
@@ -388,9 +334,8 @@ class TensorCoeffs:
     # -- seminorms ---------------------------------------------------------
 
     def _partition_blocks(self, partition: Partition, include_level0: bool):
-        tab = tables(self.d, self.N)
         blocks: dict = {}
-        for k, w in enumerate(tab.words):
+        for k, w in enumerate(all_words(self.d, self.N)):
             if not include_level0 and len(w) == 0:
                 continue
             if partition is Partition.SINGLETON:
@@ -432,10 +377,9 @@ class TensorCoeffs:
     # -- text round trip -----------------------------------------------------
 
     def to_text(self) -> str:
-        tab = tables(self.d, self.N)
         lines = []
         for k in np.nonzero(self.coeffs)[0]:
-            word = ",".join(str(l) for l in tab.words[k])
+            word = ",".join(str(l) for l in index_word(int(k), self.d))
             c = self.coeffs[k]
             lines.append(f"word={word} re={float(c.real)!r} im={float(c.imag)!r}")
         return "\n".join(lines) + ("\n" if lines else "")
@@ -474,13 +418,3 @@ class TensorCoeffs:
     def allclose(self, other: "TensorCoeffs", tol: float = 1e-12) -> bool:
         self._check_match(other)
         return bool(np.max(np.abs(self.coeffs - other.coeffs), initial=0.0) <= tol)
-
-
-def symmetrized_basis(d: int, N: int, word: Word) -> TensorCoeffs:
-    """Sum of basis words sharing the multiset of letters of the given word."""
-    out = TensorCoeffs(d, N)
-    target = tuple(sorted(word))
-    for w in words_of_level(d, len(word)):
-        if tuple(sorted(w)) == target:
-            out.coeffs[word_index(w, d)] = 1.0
-    return out

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sigcalc.tensor import TensorCoeffs, tables
+from sigcalc.operators import L_op
+from sigcalc.tensor import TensorCoeffs, level_offsets, n_words
 
 
 @pytest.fixture
@@ -11,7 +12,7 @@ def rng():
 
 
 def random_tensor(rng, d, N, scale=0.5, complex_=True, zero_scalar=False):
-    size = tables(d, N).size
+    size = n_words(d, N)
     c = rng.normal(size=size) * scale
     if complex_:
         c = c + 1j * rng.normal(size=size) * scale
@@ -39,6 +40,33 @@ def d1_image(model):
     return spec, to_d1
 
 
+def shift1(u):
+    """Right one-letter shifts: component k collects the words ending in
+    letter k + 1, with that letter stripped; d elements truncated at N - 1.
+
+    In the level-major layout, the level-n block read as a (d^(n-1), d)
+    array holds the word p.k at row rank(p), column k - 1; so column k - 1
+    is level n - 1 of the shift by letter k.
+    """
+    d, N = u.d, u.N
+    if N < 1:
+        raise ValueError("shift needs truncation level >= 1")
+    offs = level_offsets(d, N)
+    out = [TensorCoeffs(d, N - 1) for _ in range(d)]
+    for n in range(1, N + 1):
+        block = u.coeffs[offs[n] : offs[n + 1]].reshape(-1, d)
+        for k in range(d):
+            out[k].coeffs[offs[n - 1] : offs[n]] = block[:, k]
+    return out
+
+
+def shift2(u):
+    """Right two-letter shifts: entry [k][l] strips the suffix (k+1, l+1)."""
+    if u.N < 2:
+        raise ValueError("second shift needs truncation level >= 2")
+    return [shift1(c) for c in shift1(u)]
+
+
 def _shifted(u, times):
     """Right shifts by 1 or 2 letters, padded back to u's truncation.
 
@@ -49,8 +77,8 @@ def _shifted(u, times):
         zero = TensorCoeffs.zero(d, N)
         return [zero] * d if times == 1 else [[zero] * d for _ in range(d)]
     if times == 1:
-        return [c.with_truncation(N) for c in u.shift1()]
-    return [[c.with_truncation(N) for c in row] for row in u.shift2()]
+        return [c.with_truncation(N) for c in shift1(u)]
+    return [[c.with_truncation(N) for c in row] for row in shift2(u)]
 
 
 def R_reference(u, spec):
@@ -81,6 +109,27 @@ def L_reference(u, spec):
     for i in range(d):
         for j in range(d):
             out = out + 0.5 * spec.a[i][j].shuffle(u2[j][i])
+    return out
+
+
+def linear_to_riccati(times, c_states, u0, spec):
+    """Rebuild Riccati solutions from a linear-equation trajectory.
+
+    The paper's duality between the linear and the Riccati equation: given
+    c(t) with nonvanishing scalar part and c(0) = shuffle_exp(u0), the
+    exponent is psi(t) = [u0_0 + int (L c)_0 / c_0] e_0 + shuffle_log(c/c_0),
+    the integral taken by the trapezoidal rule on ``times``.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    integrand = np.array([L_op(c, spec).coeffs[0] / c.coeffs[0] for c in c_states])
+    psi0 = u0.coeffs[0] + np.concatenate(
+        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))]
+    )
+    out = []
+    for k, c in enumerate(c_states):
+        bar = (c * (1.0 / c.coeffs[0])).shuffle_log()
+        bar.coeffs[0] = psi0[k]
+        out.append(bar)
     return out
 
 

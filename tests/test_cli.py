@@ -206,6 +206,29 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
     assert len(lines) == 1 and lines[0].startswith("Error: ") and message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["levy-area", "--steps", "0"], "'--steps'"),
+        (["bm-quartic", "--K", "3"], "'--K'"),
+        (["bm-quartic", "--riccati-k", "10,3"], "'--riccati-k'"),
+        (["bm-quartic", "--N", "0"], "'--N'"),
+        (["bm-quartic", "--M", "80,0"], "'--M'"),
+        (["bm-quartic", "--M", "8x"], "'--M'"),
+        (["jacobi-mgf", "--x0", "1.5"], "'--x0'"),
+        (["jacobi-mgf", "--K", "1"], "'--K'"),
+        (["jacobi-mgf", "--num", "0"], "'--num'"),
+    ],
+)
+def test_out_of_range_option_is_a_usage_error(runner, tmp_path, args, option):
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    last = result.output.strip().splitlines()[-1]
+    assert last.startswith("Error: Invalid value for ") and option in last
+    assert not list(tmp_path.iterdir())
+
+
 def test_check_flag_fails_on_bad_check(tmp_path):
     # _finish must convert failed checks into a nonzero exit
     report = RunReport("unit", {})

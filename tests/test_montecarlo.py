@@ -20,7 +20,7 @@ from sigcalc.montecarlo import (
 from sigcalc.operators import black_scholes_spec, brownian_spec
 from sigcalc.powerseries import brownian_model, jacobi_model
 from sigcalc.signature import segment_signature
-from sigcalc.tensor import TensorCoeffs, all_words, tables, word_index
+from sigcalc.tensor import TensorCoeffs, all_words, level_offsets, word_index
 
 
 def test_estimate_and_within():
@@ -135,7 +135,7 @@ def test_fused_chen_step_matches_concat(d, N, nb, data):
         for _ in range(nb)
     ]
     dx = np.array([data.draw(coords) for _ in range(nb)]).T
-    offs = tables(d, N).offsets
+    offs = level_offsets(d, N)
     sig = np.array([s.coeffs.real for s in starts]).T.copy()
     levels = [sig[offs[n] : offs[n + 1]] for n in range(N + 1)]
     work = [None] + [np.empty((d**m, nb)) for m in range(1, N + 1)]
@@ -156,6 +156,18 @@ def test_sigsde_is_seed_deterministic_across_partial_blocks():
         b = simulate_sigsde(spec, cfg, T=1.0, N_sig=3)
         for field in ("sig_mean", "sig_se", "finals"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def test_sigsde_builds_no_shuffle_table(monkeypatch):
+    # offsets and sizes come from level_offsets and n_words; a cold
+    # tables(2, 8) alone costs about 0.15 s
+    from sigcalc import tensor
+
+    monkeypatch.setattr(tensor, "_table_cache", {})
+    spec = black_scholes_spec(0.3, 1.0, 8)
+    simulate_sigsde(spec, SimConfig(n_paths=4, dt=0.5, seed=1), T=1.0, N_sig=8)
+    segment_signature(np.array([0.1, -0.2]), 8)
+    assert tensor._table_cache == {}
 
 
 def test_expected_correlated_brownian_signature_vs_closed_form():

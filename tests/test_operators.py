@@ -15,13 +15,12 @@ from sigcalc.operators import (
     brownian_spec,
     expected_signature_matrix,
     linear_matrix,
-    linear_to_riccati,
     poly_from_affine,
 )
-from sigcalc.tensor import TensorCoeffs, all_words, tables
+from sigcalc.tensor import TensorCoeffs, all_words
 from sigcalc import schemes
 
-from conftest import L_reference, R_reference, random_tensor
+from conftest import L_reference, R_reference, linear_to_riccati, random_tensor
 
 
 def random_spec(rng, d, N, level_cap=None):
@@ -55,7 +54,8 @@ def test_brownian_R_gaussian_exponent(rng):
         out = R_op(u, spec)
         expect = 0.5 * gamma @ cov @ gamma
         assert abs(out[()] - expect) < 1e-12
-        assert all(len(w) == 0 for w in out.nonzero_words())
+        words = list(all_words(d, N))
+        assert all(len(words[k]) == 0 for k in np.flatnonzero(out.coeffs))
 
 
 def test_R_and_L_vanish_at_level_zero(rng):
@@ -174,8 +174,7 @@ def test_linear_matrix_columns(rng):
         a=[[c.with_truncation(2).with_truncation(N) for c in row] for row in spec.a],
     )
     G = linear_matrix(spec, N)
-    tab = tables(d, N)
-    for j, w in enumerate(tab.words):
+    for j, w in enumerate(all_words(d, N)):
         col = L_reference(TensorCoeffs.basis(d, N, w), spec).coeffs
         assert np.allclose(G[:, j], col, atol=1e-12)
 
@@ -254,14 +253,3 @@ def test_linear_to_riccati_roundtrip(rng):
     assert traj.status == "completed"
     err = np.max(np.abs(psi_traj[-1].coeffs - traj.states[-1]))
     assert err < 1e-6
-
-
-def test_spec_json_roundtrip(rng):
-    spec = black_scholes_spec(sigma=0.3, s0=1.1, N=3)
-    back = SdeSpec.from_json(spec.to_json())
-    assert back.d == spec.d
-    for c1, c2 in zip(back.b, spec.b):
-        assert c1.allclose(c2, tol=1e-15)
-    for r1, r2 in zip(back.a, spec.a):
-        for c1, c2 in zip(r1, r2):
-            assert c1.allclose(c2, tol=1e-15)

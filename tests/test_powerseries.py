@@ -175,6 +175,13 @@ def test_model_rejects_negative_diffusion():
         )
 
 
+@pytest.mark.parametrize("x0", [1.5, -0.1, float("nan")])
+def test_model_rejects_x0_outside_state_interval(x0):
+    # the two-point limit law of the Jacobi diffusion holds only on [0, 1]
+    with pytest.raises(ValueError, match="outside the state interval"):
+        jacobi_model(4, x0=x0)
+
+
 def test_initial_data_constructors():
     K = 8
     u = gbm_laplace_initial(c=1.0, y0=1.0, K=K)

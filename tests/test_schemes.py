@@ -163,6 +163,13 @@ def test_scheme2_weights_normalize():
         assert np.allclose(vals, math.exp(0.3), atol=1e-10)
 
 
+@pytest.mark.parametrize("N,M", [(0, 80), (80, 0), (-1, 1)])
+def test_scheme_config_rejects_empty_transport_grid(N, M):
+    # N = 0 divided by zero in transport_lambda; M = 0 ran at lambda = 0
+    with pytest.raises(ValueError, match="N >= 1 grid points and M >= 1"):
+        SchemeConfig(T=1.0, N=N, M=M)
+
+
 def test_scheme2_lambda_one_is_euler():
     # lam = 1 degenerates to explicit Euler composition of the half-steps
     K, T, N = 8, 1.0, 20
