@@ -15,14 +15,12 @@ from .operators import (
     expected_signature_matrix,
 )
 from .powerseries import (
-    Seq,
     Model1D,
     R_pow,
     L_pow,
     exp_conv,
     linear_matrix_1d,
     to_factorial_basis,
-    from_factorial_basis,
 )
 from .schemes import (
     SchemeConfig,
@@ -37,7 +35,6 @@ from .montecarlo import (
     SimConfig,
     McEstimate,
     estimate,
-    simulate_1d,
     simulate_sigsde,
     gauss_hermite_expectation,
 )

@@ -74,8 +74,12 @@ def main():
 @main.command("gbm-laplace")
 @click.option("--c", "c_", type=float, default=1.0, show_default=True)
 @click.option("--y0", type=float, default=1.0, show_default=True)
-@click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
-@click.option("--k", "--K", "K", type=int, default=20, show_default=True)
+@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option(
+    "--k", "--K", "K", type=click.IntRange(0, 170), default=20, show_default=True,
+    help="truncation degree; at most 170, since the factorial basis holds k! "
+    "as a float64 and 171! overflows it",
+)
 @click.option("--steps", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--out", type=str, default="gbm_laplace", show_default=True)
 @click.option("--check", is_flag=True)
@@ -93,14 +97,14 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     u0 = powerseries.gbm_laplace_initial(c_, y0, K)
     cfg = schemes.SchemeConfig(T=T, steps=steps)
     traj, vals = schemes.scheme1_riccati(
-        lambda y: powerseries.R_pow(powerseries.Seq(K, y), model).coeffs,
-        u0.coeffs,
+        lambda y: powerseries.R_pow(y, model),
+        u0,
         cfg,
     )
     spec = operators.brownian_spec(1, K)
     traj2, vals2 = schemes.scheme1_riccati(
         lambda y: operators.R_op(tensor.TensorCoeffs(1, K, y), spec).coeffs,
-        powerseries.to_factorial_basis(u0).coeffs,
+        powerseries.to_factorial_basis(u0),
         cfg,
     )
 
@@ -140,7 +144,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
 
 
 @main.command("bm-quartic")
-@click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
+@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
 @click.option("--k", "--K", "K", type=click.IntRange(min=4), default=160, show_default=True)
 @click.option("--n", "--N", "N", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--m", "--M", "Ms", type=str, default="80,160,320", show_default=True, callback=_int_list(1))
@@ -171,8 +175,8 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
     for m_count in Ms:
         cfg = schemes.SchemeConfig(T=T, N=N, M=m_count, steps=1)
         traj, vals = schemes.scheme2_transport(
-            lambda y: powerseries.R_pow(powerseries.Seq(K, y), model).coeffs,
-            u0.coeffs,
+            lambda y: powerseries.R_pow(y, model),
+            u0,
             cfg,
         )
         col = [v.real for v in vals] + [float("nan")] * (N + 1 - len(vals))
@@ -194,8 +198,8 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
         mk = powerseries.brownian_model(kk)
         cfgk = schemes.SchemeConfig(T=T, steps=max(1000, N * 10))
         trajk, valsk = schemes.scheme1_riccati(
-            lambda y: powerseries.R_pow(powerseries.Seq(kk, y), mk).coeffs,
-            powerseries.quartic_initial(kk).coeffs,
+            lambda y: powerseries.R_pow(y, mk),
+            powerseries.quartic_initial(kk),
             cfgk,
         )
         ricc[kk] = (trajk, valsk)
@@ -226,7 +230,7 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
 
 
 @main.command("jacobi-mgf")
-@click.option("--t", "--T", "T", type=float, default=1000.0, show_default=True)
+@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1000.0, show_default=True)
 @click.option("--k", "--K", "K", type=click.IntRange(min=2), default=40, show_default=True)
 @click.option("--x0", type=float, default=0.5, show_default=True)
 @click.option("--cmin", type=float, default=-3.0, show_default=True)
@@ -251,7 +255,7 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
     worst = 0.0
     for c in cs:
         u0 = powerseries.exp_conv(powerseries.mgf_initial(c, K))
-        _, val = schemes.scheme3_linear(G, u0.coeffs, T, x0=x0)
+        _, val = schemes.scheme3_linear(G, u0, T, x0=x0)
         # stationary law: mass x0 at 1 and 1 - x0 at 0 (X is a martingale)
         stat = (1.0 - x0) + x0 * math.exp(c)
         err = abs(val.real - stat)
@@ -276,7 +280,7 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
 @click.option("--lambda", "lam", type=float, default=1.0, show_default=True)
 @click.option("--gamma1", type=float, default=0.0, show_default=True)
 @click.option("--gamma2", type=float, default=0.0, show_default=True)
-@click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
+@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--out", type=str, default="levy_area", show_default=True)
 @click.option("--check", is_flag=True)
@@ -324,8 +328,8 @@ def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):
 @main.command("expected-sig")
 @click.option("--sigma", type=float, default=0.2, show_default=True)
 @click.option("--s0", type=float, default=1.0, show_default=True)
-@click.option("--level", type=int, default=3, show_default=True)
-@click.option("--t", "--T", "T", type=float, default=1.0, show_default=True)
+@click.option("--level", type=click.IntRange(min=0), default=3, show_default=True)
+@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
 @click.option("--out", type=str, default="expected_sig", show_default=True)
 @click.option("--check", is_flag=True)
 def cmd_expected_sig(sigma, s0, level, T, out, check):

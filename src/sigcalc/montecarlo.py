@@ -1,8 +1,7 @@
 """Monte-Carlo simulation and Gaussian quadrature cross-checks.
 
-Euler discretization of the scalar polynomial models and of the
-signature-driven models, with the running truncated signature updated
-multiplicatively each step.  Estimates are reproducible: paths are split
+Euler discretization of the signature-driven models, with the running
+truncated signature updated multiplicatively each step.  Estimates are reproducible: paths are split
 into fixed-size blocks and every block draws from its own counter-derived
 substream, so results depend only on (seed, config).
 """
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SdeSpec
-from .powerseries import Model1D
 from .tensor import level_offsets, n_words
 
 
@@ -66,37 +64,6 @@ def _blocks(n_paths: int, block_size: int):
         yield b, min(block_size, n_paths - start)
         start += block_size
         b += 1
-
-
-@dataclass
-class Sim1DResult:
-    finals: np.ndarray
-    clamped_steps: int
-    n_steps: int
-
-
-def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
-    """Euler paths of the scalar model; negative squared diffusion is clamped
-    to zero and counted."""
-    steps = max(1, round(T / cfg.dt))
-    dt = T / steps
-    finals = np.empty(cfg.n_paths)
-    clamped = 0
-    bc = np.ascontiguousarray(model.b.coeffs.real[::-1])
-    ac = np.ascontiguousarray(model.a.coeffs.real[::-1])
-    for blk, nb in _blocks(cfg.n_paths, cfg.block_size):
-        rng = _block_rng(cfg.seed, blk)
-        x = np.full(nb, model.x0)
-        sqrt_dt = math.sqrt(dt)
-        for _ in range(steps):
-            drift = np.polyval(bc, x)
-            diff2 = np.polyval(ac, x)
-            neg = diff2 < 0
-            clamped += int(np.count_nonzero(neg))
-            np.maximum(diff2, 0.0, out=diff2)
-            x = x + drift * dt + np.sqrt(diff2) * sqrt_dt * rng.standard_normal(nb)
-        finals[blk * cfg.block_size : blk * cfg.block_size + nb] = x
-    return Sim1DResult(finals=finals, clamped_steps=clamped, n_steps=steps)
 
 
 def _chen_exp_step(levels: list, dx_over: np.ndarray, work: list) -> None:

@@ -1,14 +1,16 @@
 """One-dimensional polynomial-diffusion calculus on truncated power series.
 
-States are monomial coefficient sequences u = (u_0, ..., u_K) representing
-h_u(x) = sum u_k x^k.  The product is the Cauchy convolution, derivatives act
-as index shifts with small integer weights (exact at any precision), and the
-quadratic/linear operators mirror their tensor-algebra counterparts.  Each
-``Model1D`` is immutable and compiles once into a ``ScalarField``, the d=1,
-monomial-basis counterpart of ``SdeSpec.field``: ``R_pow``, ``L_pow`` and
-``linear_matrix_1d`` all read it, on float, complex and object (Decimal,
-mpf) states.  This is the only scalar basis here: the signature (factorial)
-basis, u_k -> k! u_k, is the d=1 case of ``sigcalc.tensor`` and
+A state is a 1-D coefficient array u = (u_0, ..., u_K), K = len(u) - 1,
+representing h_u(x) = sum u_k x^k.  Numeric series are complex128; object
+arrays of extended-precision scalars (Decimal, mpf) pass through untouched.
+The product is the Cauchy convolution, derivatives act as index shifts with
+small integer weights (exact at any precision), and the quadratic/linear
+operators mirror their tensor-algebra counterparts.  Each ``Model1D`` is
+immutable and compiles once into a ``ScalarField``, the d=1, monomial-basis
+counterpart of ``SdeSpec.field``: ``R_pow``, ``L_pow`` and
+``linear_matrix_1d`` all read it, on float, complex and object states.  This
+is the only scalar basis here: the signature (factorial) basis,
+u_k -> k! u_k, is the d=1 case of ``sigcalc.tensor`` and
 ``sigcalc.operators``, reached through ``to_factorial_basis``.
 """
 from __future__ import annotations
@@ -18,112 +20,24 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 
-@dataclass
-class Seq:
-    """Coefficient sequence truncated at degree K."""
-
-    K: int
-    coeffs: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("truncation degree must be >= 0")
-        if self.coeffs is None:
-            self.coeffs = np.zeros(self.K + 1, dtype=np.complex128)
-        else:
-            self.coeffs = np.asarray(self.coeffs)
-            if self.coeffs.dtype != object:
-                # object arrays (e.g. extended-precision scalars) pass through
-                self.coeffs = self.coeffs.astype(np.complex128)
-            if self.coeffs.shape != (self.K + 1,):
-                raise ValueError(
-                    f"expected {self.K + 1} coefficients, got {self.coeffs.shape}"
-                )
-
-    @classmethod
-    def zero(cls, K: int) -> "Seq":
-        return cls(K)
-
-    @classmethod
-    def delta(cls, k: int, K: int, value: complex = 1.0) -> "Seq":
-        if not 0 <= k <= K:
-            raise ValueError(f"index {k} outside 0..{K}")
-        out = cls(K)
-        out.coeffs[k] = value
-        return out
-
-    @classmethod
-    def from_list(cls, values, K: int | None = None) -> "Seq":
-        values = np.asarray(values, dtype=np.complex128)
-        if K is None:
-            K = len(values) - 1
-        out = cls(K)
-        m = min(len(values), K + 1)
-        out.coeffs[:m] = values[:m]
-        return out
-
-    def copy(self) -> "Seq":
-        return Seq(self.K, self.coeffs.copy())
-
-    def with_truncation(self, K: int) -> "Seq":
-        out = Seq(K)
-        m = min(K, self.K) + 1
-        out.coeffs[:m] = self.coeffs[:m]
-        return out
-
-    def _check(self, other: "Seq"):
-        if self.K != other.K:
-            raise ValueError(f"mismatched truncations {self.K} vs {other.K}")
-
-    def __add__(self, other: "Seq") -> "Seq":
-        self._check(other)
-        return Seq(self.K, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Seq") -> "Seq":
-        self._check(other)
-        return Seq(self.K, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "Seq":
-        return Seq(self.K, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Seq":
-        return Seq(self.K, -self.coeffs)
-
-    def conv(self, other: "Seq") -> "Seq":
-        """Cauchy product truncated at degree K."""
-        self._check(other)
-        return Seq(self.K, np.convolve(self.coeffs, other.coeffs)[: self.K + 1])
-
-    def eval(self, x) -> complex | np.ndarray:
-        """Horner evaluation of h_u."""
-        acc = np.zeros_like(np.asarray(x, dtype=np.complex128))
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
-
-def _factorial_weights(K: int) -> np.ndarray:
-    """(0!, 1!, ..., K!) in float64."""
-    return np.array([math.factorial(k) for k in range(K + 1)], dtype=np.float64)
-
-
-def to_factorial_basis(u: Seq) -> Seq:
+def to_factorial_basis(u: np.ndarray) -> np.ndarray:
     """Rescale u_k -> k! u_k (monomial to signature-coefficient basis)."""
-    return Seq(u.K, u.coeffs * _factorial_weights(u.K))
+    return u * np.array([math.factorial(k) for k in range(len(u))], dtype=np.float64)
 
 
-def from_factorial_basis(u: Seq) -> Seq:
-    """Rescale u_k -> u_k / k! (signature-coefficient to monomial basis)."""
-    return Seq(u.K, u.coeffs / _factorial_weights(u.K))
+def _read_only(c) -> np.ndarray:
+    out = np.array(c, dtype=np.complex128)
+    out.flags.writeable = False
+    return out
 
 
-def _read_only(s: Seq) -> Seq:
-    out = s.copy()
-    out.coeffs.flags.writeable = False
+def _poly(K: int, *c: float) -> np.ndarray:
+    """c_0 + c_1 x + ... as a complex128 series truncated at degree K."""
+    out = np.zeros(K + 1, dtype=np.complex128)
+    out[: len(c)] = c
     return out
 
 
@@ -131,20 +45,22 @@ def _read_only(s: Seq) -> Seq:
 class Model1D:
     """Scalar polynomial diffusion: drift and squared-diffusion coefficients.
 
-    The coefficients are stored as read-only copies; ``field`` compiles them
-    on first use.
+    The coefficients are stored as read-only complex128 copies; ``field``
+    compiles them on first use.
     """
 
-    b: Seq
-    a: Seq
+    b: np.ndarray
+    a: np.ndarray
     x0: float
     name: str = "model"
     state_interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        self.b._check(self.a)
-        object.__setattr__(self, "b", _read_only(self.b))
-        object.__setattr__(self, "a", _read_only(self.a))
+        b, a = _read_only(self.b), _read_only(self.a)
+        if len(b) != len(a):
+            raise ValueError(f"mismatched truncations {len(b) - 1} vs {len(a) - 1}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
         if self.state_interval is not None:
             lo, hi = self.state_interval
             if not lo <= self.x0 <= hi:
@@ -152,8 +68,7 @@ class Model1D:
                     f"x0={self.x0} lies outside the state interval [{lo}, {hi}] "
                     f"of {self.name}"
                 )
-            grid = np.linspace(lo, hi, 201)
-            vals = self.a.eval(grid)
+            vals = P.polyval(np.linspace(lo, hi, 201), a)
             if np.max(np.abs(vals.imag)) > 0 or np.min(vals.real) < -1e-9:
                 raise ValueError(
                     f"squared diffusion of {self.name} is negative on "
@@ -162,28 +77,29 @@ class Model1D:
 
     @property
     def K(self) -> int:
-        return self.b.K
+        return len(self.b) - 1
 
     @cached_property
     def field(self) -> "ScalarField":
         return ScalarField(self)
 
     def with_truncation(self, K: int) -> "Model1D":
+        """The model with b and a cut or zero-padded to degree K."""
         return Model1D(
-            b=self.b.with_truncation(K),
-            a=self.a.with_truncation(K),
+            b=_poly(K, *self.b[: K + 1]),
+            a=_poly(K, *self.a[: K + 1]),
             x0=self.x0,
             name=self.name,
             state_interval=self.state_interval,
         )
 
 
-def _support(c: Seq, scale: float = 1.0) -> tuple:
+def _support(c: np.ndarray, scale: float = 1.0) -> tuple:
     """(index, value * scale) of each nonzero coefficient, the value a float
     when its imaginary part is zero."""
     out = []
-    for i in np.flatnonzero(c.coeffs):
-        z = complex(c.coeffs[i] * scale)
+    for i in np.flatnonzero(c):
+        z = complex(c[i] * scale)
         out.append((int(i), z if z.imag else z.real))
     return tuple(out)
 
@@ -197,17 +113,18 @@ class ScalarField:
     a/2, and the index pairs of the Cauchy square v v, each unordered pair
     once (p <= q, p + q <= K), sorted by output index.
 
-    Float and complex states square with ``np.convolve`` and add each
-    coefficient's shifted product, drift and diffusion parts apart.  Where
-    the dense convolution of a coefficient series had only exact sums to
-    form, one product per output or products by +-1/2 (Brownian motion,
-    Jacobi), the bits are the same; otherwise they differ by a few ulps,
-    since ``np.convolve`` may fuse its multiply-adds.  Object states
-    (Decimal, mpf) form only the products of nonzero entries, each
-    off-diagonal pair of the square once and doubled by an addition, and the
-    coefficients enter converted exactly into the state's element type
-    (Decimal refuses float operands); entries that no product reaches stay
-    the int 0, so a real state stays real.
+    A state is a coefficient array of length K + 1; R and L return a new
+    array, of the state's dtype when the model is real.  Float and complex
+    arrays square with ``np.convolve`` and add each coefficient's shifted
+    product, drift and diffusion parts apart.  Where the dense convolution of
+    a coefficient series had only exact sums to form, one product per output
+    or products by +-1/2 (Brownian motion, Jacobi), the bits are the same;
+    otherwise they differ by a few ulps, since ``np.convolve`` may fuse its
+    multiply-adds.  Object arrays (Decimal, mpf) form only the products of
+    nonzero entries, each off-diagonal pair of the square once and doubled
+    by an addition, and the coefficients enter converted exactly into the
+    state's element type (Decimal refuses float operands); entries that no
+    product reaches stay the int 0, so a real state stays real.
     """
 
     def __init__(self, model: Model1D):
@@ -319,26 +236,26 @@ def _shifted_sum_exact(terms: tuple, x: np.ndarray, support: np.ndarray, exact) 
     return out
 
 
-def R_pow(u: Seq, m: Model1D) -> Seq:
+def R_pow(u: np.ndarray, m: Model1D) -> np.ndarray:
     """Quadratic operator in the monomial basis,
     b conv u' + (1/2) a conv (u'' + u' conv u'), read from the model's field."""
-    return Seq(u.K, m.field.apply(u.coeffs, quadratic=True))
+    return m.field.apply(u, quadratic=True)
 
 
-def L_pow(u: Seq, m: Model1D) -> Seq:
+def L_pow(u: np.ndarray, m: Model1D) -> np.ndarray:
     """Linear operator in the monomial basis: b conv u' + (1/2) a conv u''."""
-    return Seq(u.K, m.field.apply(u.coeffs, quadratic=False))
+    return m.field.apply(u, quadratic=False)
 
 
-def exp_conv(u: Seq) -> Seq:
+def exp_conv(u: np.ndarray) -> np.ndarray:
     """exp under the Cauchy product: coefficients of exp(h_u)."""
+    K = len(u) - 1
     bar = u.copy()
-    scalar = bar.coeffs[0]
-    bar.coeffs[0] = 0.0
-    acc = Seq.delta(0, u.K)
-    term = Seq.delta(0, u.K)
-    for k in range(1, u.K + 1):
-        term = term.conv(bar) * (1.0 / k)
+    scalar = bar[0]
+    bar[0] = 0.0
+    acc = term = _poly(K, 1.0)
+    for k in range(1, K + 1):
+        term = np.convolve(term, bar)[: K + 1] * (1.0 / k)
         acc = acc + term
     return acc * np.exp(scalar)
 
@@ -355,71 +272,32 @@ def linear_matrix_1d(m: Model1D, K: int) -> np.ndarray:
 
 
 def brownian_model(K: int, x0: float = 0.0) -> Model1D:
-    return Model1D(
-        b=Seq.zero(K), a=Seq.delta(0, K), x0=x0, name="brownian"
-    )
+    return Model1D(b=_poly(K), a=_poly(K, 1.0), x0=x0, name="brownian")
 
 
-def gbm_laplace_initial(c: float, y0: float, K: int) -> Seq:
+def gbm_laplace_initial(c: float, y0: float, K: int) -> np.ndarray:
     """Exponent coefficients for E[exp(-c Y_T)], Y lognormal started at y0:
     h_u(x) = -c y0 e^x, so u_k = -c y0 / k!."""
     w = np.array([1.0 / math.factorial(k) for k in range(K + 1)])
-    return Seq(K, -c * y0 * w)
+    return (-c * y0 * w).astype(np.complex128)
 
 
-def quartic_initial(K: int) -> Seq:
+def quartic_initial(K: int) -> np.ndarray:
     """Exponent coefficients of exp(-x^4/4!) in the monomial basis."""
     if K < 4:
         raise ValueError("quartic initial data needs K >= 4")
-    return Seq.delta(4, K, -1.0 / math.factorial(4))
+    return _poly(K, 0.0, 0.0, 0.0, 0.0, -1.0 / math.factorial(4))
 
 
 def jacobi_model(K: int, x0: float = 0.5) -> Model1D:
-    a = Seq.zero(K)
-    a.coeffs[1] = 1.0
-    a.coeffs[2] = -1.0
-    return Model1D(b=Seq.zero(K), a=a, x0=x0, name="jacobi", state_interval=(0.0, 1.0))
-
-
-def shifted_jacobi_model(K: int, x0: float = -0.5) -> Model1D:
-    """Jacobi diffusion shifted to [-1, 0]: squared diffusion -(x^2 + x)."""
-    a = Seq.zero(K)
-    a.coeffs[1] = -1.0
-    a.coeffs[2] = -1.0
     return Model1D(
-        b=Seq.zero(K), a=a, x0=x0, name="shifted_jacobi", state_interval=(-1.0, 0.0)
+        b=_poly(K), a=_poly(K, 0.0, 1.0, -1.0), x0=x0, name="jacobi",
+        state_interval=(0.0, 1.0),
     )
 
 
-def cubic_interval_model(K: int, x0: float = 0.5) -> Model1D:
-    """Diffusion on [0, 1] with squared diffusion x(1-x)(1-x/2)."""
-    a = Seq.zero(K)
-    a.coeffs[1] = 1.0
-    a.coeffs[2] = -1.5
-    a.coeffs[3] = 0.5
-    return Model1D(
-        b=Seq.zero(K), a=a, x0=x0, name="cubic_interval", state_interval=(0.0, 1.0)
-    )
-
-
-def wright_fisher_model(b_weights, K: int, x0: float = 0.5) -> Model1D:
-    """Mutation-selection diffusion: drift sum_n b_n (x^n - x^{n+1}),
-    squared diffusion x(1 - x)."""
-    b = Seq.zero(K)
-    prev = 0.0
-    for n in range(1, K + 1):
-        cur = b_weights[n - 1] if n - 1 < len(b_weights) else 0.0
-        b.coeffs[n] = cur - prev
-        prev = cur
-    a = Seq.zero(K)
-    a.coeffs[1] = 1.0
-    a.coeffs[2] = -1.0
-    return Model1D(b=b, a=a, x0=x0, name="wright_fisher", state_interval=(0.0, 1.0))
-
-
-def mgf_initial(c: float, K: int) -> Seq:
+def mgf_initial(c: float, K: int) -> np.ndarray:
     """Exponent coefficients of E[exp(c X_T)]: h_u(x) = c x."""
-    out = Seq.zero(K)
-    if K >= 1:
-        out.coeffs[1] = c
+    out = _poly(K)
+    out[1:2] = c  # nothing to set at K = 0
     return out

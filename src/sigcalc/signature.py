@@ -40,15 +40,6 @@ class PiecewisePath:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def to_csv(self) -> str:
-        header = "t," + ",".join(f"x{i}" for i in range(1, self.d + 1))
-        lines = [header]
-        for t, row in zip(self.times, self.points):
-            lines.append(
-                f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row)
-            )
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv(cls, text: str) -> "PiecewisePath":
         lines = [

@@ -166,10 +166,6 @@ class Partition(Enum):
     ORDERED = "ordered"
     BY_LEVEL = "by_level"
 
-    @property
-    def shuffle_compatible(self) -> bool:
-        return self is not Partition.SINGLETON
-
 
 @dataclass
 class TensorCoeffs:
@@ -309,17 +305,6 @@ class TensorCoeffs:
             term = term.shuffle(bar)
             acc = acc + term * ((-1.0) ** (k - 1) / k)
         acc.coeffs[0] = np.log(scalar)
-        return acc
-
-    def concat_exp(self) -> "TensorCoeffs":
-        """exp under the concatenation product; scalar part must be 0."""
-        if self.coeffs[0] != 0:
-            raise ValueError("concatenation exponential needs zero scalar part")
-        acc = TensorCoeffs.unit(self.d, self.N)
-        term = TensorCoeffs.unit(self.d, self.N)
-        for k in range(1, self.N + 1):
-            term = term.concat(self) * (1.0 / k)
-            acc = acc + term
         return acc
 
     # -- pairing ------------------------------------------------------------

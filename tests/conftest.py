@@ -1,8 +1,13 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from sigcalc.montecarlo import SimConfig, _block_rng, _blocks
 from sigcalc.operators import L_op
+from sigcalc.powerseries import Model1D
 from sigcalc.tensor import TensorCoeffs, level_offsets, n_words
 
 
@@ -22,6 +27,112 @@ def random_tensor(rng, d, N, scale=0.5, complex_=True, zero_scalar=False):
     return out
 
 
+def series(K, *c):
+    """c_0 + c_1 x + ... as a complex128 coefficient array of degree K."""
+    out = np.zeros(K + 1, dtype=np.complex128)
+    out[: len(c)] = c
+    return out
+
+
+def delta(k, K, value=1.0):
+    """value x^k as a complex128 coefficient array of degree K."""
+    out = np.zeros(K + 1, dtype=np.complex128)
+    out[k] = value
+    return out
+
+
+def from_factorial_basis(u):
+    """Rescale u_k -> u_k / k! (signature-coefficient to monomial basis)."""
+    return u / np.array([math.factorial(k) for k in range(len(u))], dtype=np.float64)
+
+
+# -- scalar models the tests use beyond the stock ones --------------------------
+
+
+def shifted_jacobi_model(K, x0=-0.5):
+    """Jacobi diffusion shifted to [-1, 0]: squared diffusion -(x^2 + x)."""
+    return Model1D(
+        b=series(K), a=series(K, 0.0, -1.0, -1.0), x0=x0, name="shifted_jacobi",
+        state_interval=(-1.0, 0.0),
+    )
+
+
+def cubic_interval_model(K, x0=0.5):
+    """Diffusion on [0, 1] with squared diffusion x(1-x)(1-x/2)."""
+    return Model1D(
+        b=series(K), a=series(K, 0.0, 1.0, -1.5, 0.5), x0=x0, name="cubic_interval",
+        state_interval=(0.0, 1.0),
+    )
+
+
+def wright_fisher_model(b_weights, K, x0=0.5):
+    """Mutation-selection diffusion: drift sum_n b_n (x^n - x^{n+1}),
+    squared diffusion x(1 - x)."""
+    b = series(K)
+    prev = 0.0
+    for n in range(1, K + 1):
+        cur = b_weights[n - 1] if n - 1 < len(b_weights) else 0.0
+        b[n] = cur - prev
+        prev = cur
+    return Model1D(
+        b=b, a=series(K, 0.0, 1.0, -1.0), x0=x0, name="wright_fisher",
+        state_interval=(0.0, 1.0),
+    )
+
+
+@dataclass
+class Sim1DResult:
+    finals: np.ndarray
+    clamped_steps: int
+    n_steps: int
+
+
+def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
+    """Euler paths of the scalar model; negative squared diffusion is clamped
+    to zero and counted.  The Monte Carlo oracle of the scalar models, drawn
+    from the same per-block substreams as ``simulate_sigsde``."""
+    steps = max(1, round(T / cfg.dt))
+    dt = T / steps
+    finals = np.empty(cfg.n_paths)
+    clamped = 0
+    bc = np.ascontiguousarray(model.b.real[::-1])
+    ac = np.ascontiguousarray(model.a.real[::-1])
+    for blk, nb in _blocks(cfg.n_paths, cfg.block_size):
+        rng = _block_rng(cfg.seed, blk)
+        x = np.full(nb, model.x0)
+        sqrt_dt = math.sqrt(dt)
+        for _ in range(steps):
+            drift = np.polyval(bc, x)
+            diff2 = np.polyval(ac, x)
+            neg = diff2 < 0
+            clamped += int(np.count_nonzero(neg))
+            np.maximum(diff2, 0.0, out=diff2)
+            x = x + drift * dt + np.sqrt(diff2) * sqrt_dt * rng.standard_normal(nb)
+        finals[blk * cfg.block_size : blk * cfg.block_size + nb] = x
+    return Sim1DResult(finals=finals, clamped_steps=clamped, n_steps=steps)
+
+
+def concat_exp(x):
+    """exp of x under the concatenation product; scalar part must be 0."""
+    if x.coeffs[0] != 0:
+        raise ValueError("concatenation exponential needs zero scalar part")
+    acc = TensorCoeffs.unit(x.d, x.N)
+    term = TensorCoeffs.unit(x.d, x.N)
+    for k in range(1, x.N + 1):
+        term = term.concat(x) * (1.0 / k)
+        acc = acc + term
+    return acc
+
+
+def path_to_csv(path):
+    """A sampled path in the CSV layout ``PiecewisePath.from_csv`` reads."""
+    header = "t," + ",".join(f"x{i}" for i in range(1, path.d + 1))
+    lines = [header]
+    for t, row in zip(path.times, path.points):
+        lines.append(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def d1_image(model):
     """A scalar model as the d=1 signature model with the same dynamics.
 
@@ -34,7 +145,7 @@ def d1_image(model):
     from sigcalc.powerseries import to_factorial_basis
 
     def to_d1(u):
-        return TensorCoeffs(1, u.K, to_factorial_basis(u).coeffs)
+        return TensorCoeffs(1, len(u) - 1, to_factorial_basis(u))
 
     spec = SdeSpec(d=1, x0=[model.x0], b=[to_d1(model.b)], a=[[to_d1(model.a)]])
     return spec, to_d1
@@ -157,7 +268,7 @@ def _cauchy(x, y):
 def _pow_coefficients(model, u):
     """b and a/2 of a scalar model, for an object state as exact objects of
     the type of its first nonzero entry (a real model only)."""
-    b, ah = model.b.coeffs, model.a.coeffs * 0.5
+    b, ah = model.b, model.a * 0.5
     nonzero = [z for z in u if z != 0] if u.dtype == object else []
     if not nonzero:
         return b, ah
@@ -172,8 +283,8 @@ def R_pow_reference(u, model):
     """R(u) = b u' + (1/2) a (u'' + u' u'), with dense Cauchy products.
 
     The formula the scalar operators evaluated before the model was
-    compiled; ``ScalarField`` is checked against it.  Takes and returns
-    coefficient arrays.
+    compiled; ``ScalarField`` is checked against it.  Like ``R_pow``, it
+    takes and returns coefficient arrays, u_k at index k.
     """
     b, ah = _pow_coefficients(model, u)
     u1 = _derivative(u)

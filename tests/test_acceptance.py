@@ -11,17 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from conftest import L_reference, d1_image, quartic_blowup_reference, shift1
+from conftest import (
+    L_reference,
+    d1_image,
+    delta,
+    from_factorial_basis,
+    quartic_blowup_reference,
+    shift1,
+    simulate_1d,
+)
 from sigcalc import montecarlo, operators, powerseries, schemes, signature, tensor
 from sigcalc.montecarlo import SimConfig, estimate, gauss_hermite_expectation
 from sigcalc.powerseries import (
     Model1D,
     R_pow,
     L_pow,
-    Seq,
     brownian_model,
     exp_conv,
-    from_factorial_basis,
     jacobi_model,
     mgf_initial,
     quartic_initial,
@@ -54,7 +60,7 @@ def test_gbm_laplace_vs_quadrature(capsys):
     u0 = powerseries.gbm_laplace_initial(c, y0, K)
     cfg = SchemeConfig(T=T, steps=1000)
     traj, vals = scheme1_riccati(
-        lambda y: R_pow(Seq(K, y), model).coeffs, u0.coeffs, cfg
+        lambda y: R_pow(y, model), u0, cfg
     )
     assert traj.status == "completed"
     worst = 0.0
@@ -93,7 +99,7 @@ def test_quartic_transport_and_direct_ode(capsys):
     for M in (80, 160, 320):
         cfg = SchemeConfig(T=T, N=N, M=M, steps=1)
         traj, vals = scheme2_transport(
-            lambda y: R_pow(Seq(K, y), model).coeffs, u0.coeffs, cfg
+            lambda y: R_pow(y, model), u0, cfg
         )
         rel_errs[M] = max(
             abs(v.real - r) / abs(r) for v, r in zip(vals, refs)
@@ -114,7 +120,7 @@ def test_quartic_transport_and_direct_ode(capsys):
         mk = brownian_model(Kd)
         cfgk = SchemeConfig(T=2 * T, steps=8000)
         trajk, _ = scheme1_riccati(
-            lambda y: R_pow(Seq(Kd, y), mk).coeffs, quartic_initial(Kd).coeffs, cfgk
+            lambda y: R_pow(y, mk), quartic_initial(Kd), cfgk
         )
         ricc_times[Kd] = trajk.explosion_time if trajk.status == "exploded" else None
         ricc_refs[Kd] = quartic_blowup_reference(Kd, 2 * T)
@@ -156,20 +162,20 @@ def test_jacobi_mgf_stationary_and_mc(capsys):
     worst = 0.0
     for c in range(-3, 4):
         u0 = exp_conv(mgf_initial(float(c), K))
-        _, val = scheme3_linear(G, u0.coeffs, 1000.0, x0=x0)
+        _, val = scheme3_linear(G, u0, 1000.0, x0=x0)
         worst = max(worst, abs(val.real - 0.5 * (1.0 + math.exp(c))))
     ok_stat = worst <= 5e-3
 
     # short-horizon cross-check against path simulation; the low-order model
     # copy has the same dynamics but avoids evaluating padded coefficients
-    sim = montecarlo.simulate_1d(
+    sim = simulate_1d(
         jacobi_model(2, x0=x0), SimConfig(n_paths=100_000, dt=1e-3, seed=7), T=1.0
     )
     ok_mc = True
     mc_detail = []
     for c in (-2.0, 2.0):
         u0 = exp_conv(mgf_initial(c, K))
-        _, val = scheme3_linear(G, u0.coeffs, 1.0, x0=x0)
+        _, val = scheme3_linear(G, u0, 1.0, x0=x0)
         est = estimate(np.exp(c * sim.finals))
         ok_c = est.within(val.real, 3.0)
         ok_mc = ok_mc and ok_c
@@ -425,17 +431,17 @@ def test_randomized_algebraic_identities(capsys):
         # the scalar calculus is the d=1 tensor calculus in the factorial basis
         K = int(rng.integers(3, 21))
         m = Model1D(
-            Seq(K, rng.standard_normal(K + 1) * (np.arange(K + 1) < 2)),
-            Seq(K, rng.standard_normal(K + 1) * (np.arange(K + 1) < 3)),
+            rng.standard_normal(K + 1) * (np.arange(K + 1) < 2),
+            rng.standard_normal(K + 1) * (np.arange(K + 1) < 3),
             x0=float(rng.uniform(-1, 1)),
         )
-        v = Seq(K, rng.standard_normal(K + 1))  # factorial-basis state
+        v = rng.standard_normal(K + 1)  # factorial-basis state
         spec1, _ = d1_image(m)
-        v1 = TensorCoeffs(1, K, v.coeffs)
+        v1 = TensorCoeffs(1, K, v)
         check(
             "R at d=1",
             np.allclose(
-                to_factorial_basis(R_pow(from_factorial_basis(v), m)).coeffs,
+                to_factorial_basis(R_pow(from_factorial_basis(v), m)),
                 operators.R_op(v1, spec1).coeffs,
                 atol=1e-8,
             ),
@@ -443,7 +449,7 @@ def test_randomized_algebraic_identities(capsys):
         check(
             "L at d=1",
             np.allclose(
-                to_factorial_basis(L_pow(from_factorial_basis(v), m)).coeffs,
+                to_factorial_basis(L_pow(from_factorial_basis(v), m)),
                 operators.L_op(v1, spec1).coeffs,
                 atol=1e-8,
             ),
@@ -469,10 +475,10 @@ def test_brownian_mgf_high_accuracy(capsys):
     model = brownian_model(K)
     worst = 0.0
     for theta in (-1.0, 0.5, 2.0):
-        u0 = Seq.delta(1, K, theta)
+        u0 = delta(1, K, theta)
         cfg = SchemeConfig(T=T, steps=1000)
         traj, vals = scheme1_riccati(
-            lambda y: R_pow(Seq(K, y), model).coeffs, u0.coeffs, cfg
+            lambda y: R_pow(y, model), u0, cfg
         )
         assert traj.status == "completed"
         worst = max(worst, abs(vals[-1] - math.exp(theta**2 * T / 2.0)))

@@ -2,7 +2,9 @@
 
 import json
 import logging
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from sigcalc.cli import main
 from sigcalc.report import RunReport, write_csv, write_svg
 from sigcalc.tensor import TensorCoeffs
 
+ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture
 def runner():
@@ -137,6 +140,31 @@ def test_csv_byte_stable(runner, tmp_path):
     assert csv_a == csv_b
 
 
+def reproduce_commands():
+    """The argument lists of the sigcalc runs in the Makefile's reproduce
+    recipe, each with the --out stem it writes."""
+    recipe = (ROOT / "Makefile").read_text().split("\nreproduce:", 1)[1].split("\n\n", 1)[0]
+    return [
+        shlex.split(line.split("-m sigcalc.cli", 1)[1])
+        for line in recipe.splitlines()
+        if "-m sigcalc.cli" in line
+    ]
+
+
+def test_reproduce_artifacts_are_byte_identical(runner, tmp_path):
+    # the committed artifacts are the numbers every change must keep
+    commands = reproduce_commands()
+    assert len(commands) == 5
+    for args in commands:
+        stem = args[args.index("--out") + 1]
+        args[args.index("--out") + 1] = str(tmp_path / stem)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        for suffix in (".csv", ".svg"):
+            got = (tmp_path / (stem + suffix)).read_bytes()
+            assert got == (ROOT / "artifacts" / (stem + suffix)).read_bytes(), stem + suffix
+
+
 def test_algebra_commands(runner, tmp_path):
     u = TensorCoeffs.zero(2, 3)
     u[(1,)] = 0.4
@@ -169,11 +197,11 @@ def test_algebra_commands(runner, tmp_path):
 
 
 def test_algebra_sig_command(runner, tmp_path, rng):
-    from conftest import random_path
+    from conftest import path_to_csv, random_path
 
     path = random_path(rng, 2)
     pf = tmp_path / "path.csv"
-    pf.write_text(path.to_csv())
+    pf.write_text(path_to_csv(path))
     out = tmp_path / "sig"
     result = runner.invoke(
         main,
@@ -218,6 +246,15 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
         (["jacobi-mgf", "--x0", "1.5"], "'--x0'"),
         (["jacobi-mgf", "--K", "1"], "'--K'"),
         (["jacobi-mgf", "--num", "0"], "'--num'"),
+        (["gbm-laplace", "--T", "-1"], "'--T'"),
+        (["bm-quartic", "--T", "-1"], "'--T'"),
+        (["jacobi-mgf", "--T", "-5"], "'--T'"),
+        (["levy-area", "--T", "-1"], "'--T'"),
+        (["expected-sig", "--T", "-1", "--check"], "'--T'"),
+        (["gbm-laplace", "--K", "-1"], "'--K'"),
+        (["gbm-laplace", "--K", "171"], "'--K'"),  # 171! overflows float64
+        (["gbm-laplace", "--K", "200"], "'--K'"),
+        (["expected-sig", "--level", "-1"], "'--level'"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, args, option):

@@ -14,9 +14,9 @@ from sigcalc.montecarlo import (
     _hermite_rule,
     estimate,
     gauss_hermite_expectation,
-    simulate_1d,
     simulate_sigsde,
 )
+from conftest import concat_exp, simulate_1d
 from sigcalc.operators import black_scholes_spec, brownian_spec
 from sigcalc.powerseries import brownian_model, jacobi_model
 from sigcalc.signature import segment_signature
@@ -102,7 +102,7 @@ def _check_brownian_expected_signature(cov, dt, seed):
     for i in range(d):
         for j in range(d):
             gen[(i + 1, j + 1)] = T / 2.0 * cov[i, j]
-    expect = gen.concat_exp()
+    expect = concat_exp(gen)
     for i, w in enumerate(all_words(d, N)):
         se = max(res.sig_se[i], 1e-12)
         err = abs(res.sig_mean[i] - expect[w])

@@ -20,7 +20,7 @@ from sigcalc.operators import (
 from sigcalc.tensor import TensorCoeffs, all_words
 from sigcalc import schemes
 
-from conftest import L_reference, R_reference, linear_to_riccati, random_tensor
+from conftest import L_reference, R_reference, concat_exp, linear_to_riccati, random_tensor
 
 
 def random_spec(rng, d, N, level_cap=None):
@@ -211,7 +211,7 @@ def test_expected_signature_brownian_closed_form():
     gen = TensorCoeffs.zero(d, N)
     for k in range(d):
         gen[(k + 1, k + 1)] = T / 2.0
-    expect = gen.concat_exp()
+    expect = concat_exp(gen)
     assert np.allclose(m, expect.coeffs, atol=1e-12)
 
 

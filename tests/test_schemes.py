@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import quartic_blowup_reference
+from conftest import delta, quartic_blowup_reference
 from sigcalc import operators, powerseries, tensor
-from sigcalc.powerseries import R_pow, Seq, brownian_model, to_factorial_basis
+from sigcalc.powerseries import R_pow, brownian_model, to_factorial_basis
 from sigcalc.schemes import (
     SchemeConfig,
     matrix_exp,
@@ -21,7 +21,7 @@ from sigcalc.schemes import (
 
 def brownian_R(K):
     model = brownian_model(K)
-    return lambda y: R_pow(Seq(K, y), model).coeffs
+    return lambda y: R_pow(y, model)
 
 
 def brownian_R_d1(K):
@@ -83,9 +83,9 @@ def test_matrix_exp_time_scaling(rng):
 def test_scheme1_brownian_mgf():
     K, T = 8, 1.0
     for theta in (-1.0, 0.5, 2.0):
-        u0 = Seq.delta(1, K, theta)
+        u0 = delta(1, K, theta)
         cfg = SchemeConfig(T=T, steps=400)
-        traj, vals = scheme1_riccati(brownian_R(K), u0.coeffs, cfg)
+        traj, vals = scheme1_riccati(brownian_R(K), u0, cfg)
         assert traj.status == "completed"
         assert abs(vals[-1] - math.exp(theta**2 * T / 2.0)) < 1e-8
 
@@ -113,8 +113,8 @@ def test_scheme1_large_finite_value_is_not_an_explosion():
     # default explosion_threshold; a finite value is not a blow-up
     K = 8
     for theta in (7.0, 10.0):
-        u0 = Seq.delta(1, K, theta)
-        traj, vals = scheme1_riccati(brownian_R(K), u0.coeffs, SchemeConfig(T=1.0, steps=400))
+        u0 = delta(1, K, theta)
+        traj, vals = scheme1_riccati(brownian_R(K), u0, SchemeConfig(T=1.0, steps=400))
         assert traj.status == "completed"
         assert abs(vals[-1] / math.exp(theta**2 / 2.0) - 1.0) < 1e-10
 
@@ -127,7 +127,7 @@ def test_scheme1_quartic_explosion_order():
     for K in (10, 20, 40):
         u0 = powerseries.quartic_initial(K)
         cfg = SchemeConfig(T=2.0, steps=4000)
-        traj, _ = scheme1_riccati(brownian_R(K), u0.coeffs, cfg)
+        traj, _ = scheme1_riccati(brownian_R(K), u0, cfg)
         assert traj.status == "exploded"
         t_exp[K] = traj.explosion_time
     assert t_exp[40] < t_exp[20] < t_exp[10]
@@ -141,8 +141,8 @@ def test_scheme1_explosion_time_is_basis_free(K):
     u0 = powerseries.quartic_initial(K)
     cfg = SchemeConfig(T=2.0, steps=4000)
     h = cfg.T / cfg.steps
-    mono, _ = scheme1_riccati(brownian_R(K), u0.coeffs, cfg)
-    fact, _ = scheme1_riccati(brownian_R_d1(K), to_factorial_basis(u0).coeffs, cfg)
+    mono, _ = scheme1_riccati(brownian_R(K), u0, cfg)
+    fact, _ = scheme1_riccati(brownian_R_d1(K), to_factorial_basis(u0), cfg)
     assert mono.status == fact.status == "exploded"
     assert abs(mono.explosion_time - fact.explosion_time) <= 2 * h + 1e-12
     ref = quartic_blowup_reference(K, cfg.T)
@@ -174,11 +174,11 @@ def test_scheme2_lambda_one_is_euler():
     # lam = 1 degenerates to explicit Euler composition of the half-steps
     K, T, N = 8, 1.0, 20
     theta = 0.7
-    u0 = Seq.delta(1, K, theta)
+    u0 = delta(1, K, theta)
     cfg = SchemeConfig(T=T, N=N, M=N)
-    traj, vals = scheme2_transport(brownian_R(K), u0.coeffs, cfg)
+    traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
     R = brownian_R(K)
-    u = u0.coeffs.astype(complex)
+    u = u0.astype(complex)
     direct = [np.exp(u[0])]
     for _ in range(N):
         u = u + R(u) / N
@@ -191,9 +191,9 @@ def test_scheme2_brownian_mgf_all_lambda(M, N):
     # lam = M T / N below, at, and above 1 (the last exercises the
     # extended-precision path)
     K, T, theta = 12, 1.0, 0.8
-    u0 = Seq.delta(1, K, theta)
+    u0 = delta(1, K, theta)
     cfg = SchemeConfig(T=T, N=N, M=M)
-    traj, vals = scheme2_transport(brownian_R(K), u0.coeffs, cfg)
+    traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
     assert traj.status == "completed"
     times = np.linspace(0.0, T, N + 1)
     refs = np.exp(theta**2 * times / 2.0)
@@ -204,12 +204,12 @@ def test_scheme2_refinement_converges():
     # doubling (N, M) shrinks the deviation from the closed form
     # E[exp(-beta X_t^2)] = (1 + 2 beta t)^{-1/2} for standard BM
     K, T, beta = 16, 1.0, 0.3
-    u0 = Seq.delta(2, K, -beta)
+    u0 = delta(2, K, -beta)
     ref = (1.0 + 2.0 * beta * T) ** -0.5
     errs = []
     for N in (10, 20, 40):
         cfg = SchemeConfig(T=T, N=N, M=N)
-        traj, vals = scheme2_transport(brownian_R(K), u0.coeffs, cfg)
+        traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
         assert traj.status == "completed"
         errs.append(abs(vals[-1] - ref))
     assert errs[2] < errs[1] < errs[0]
@@ -285,7 +285,7 @@ def test_scheme2_mp_path_matches_exact_referee(M):
     # lam = M T / N = 2 and 4: the extended-precision path, bit for bit
     K, N, T = 16, 8, 1.0
     traj, vals = scheme2_transport(
-        brownian_R(K), powerseries.quartic_initial(K).coeffs, SchemeConfig(T=T, N=N, M=M)
+        brownian_R(K), powerseries.quartic_initial(K), SchemeConfig(T=T, N=N, M=M)
     )
     assert traj.status == "completed"
     assert not np.any(vals.imag)
@@ -298,7 +298,7 @@ def test_scheme2_mp_path_matches_exact_referee_at_high_degree():
     # rounded to double, values miss the referee by up to 6.8e-13
     K, N, M, T = 128, 64, 128, 1.0
     _, vals = scheme2_transport(
-        brownian_R(K), powerseries.quartic_initial(K).coeffs, SchemeConfig(T=T, N=N, M=M)
+        brownian_R(K), powerseries.quartic_initial(K), SchemeConfig(T=T, N=N, M=M)
     )
     ref = quartic_transport_referee(K, N, M, T)
     assert len(vals) == N + 1
@@ -310,14 +310,14 @@ def test_scheme2_mp_path_rejects_float_field():
     # R_op casts to complex128, so at lam > 1 it would evaluate R in float64
     # inside the arithmetic meant to absorb the mixture's cancellation
     K, N, M, T = 12, 8, 16, 1.0
-    u0 = Seq.delta(1, K, 0.8)
+    u0 = delta(1, K, 0.8)
     cfg = SchemeConfig(T=T, N=N, M=M)
     with pytest.raises(TypeError, match="object"):
-        scheme2_transport(brownian_R_d1(K), to_factorial_basis(u0).coeffs, cfg)
+        scheme2_transport(brownian_R_d1(K), to_factorial_basis(u0), cfg)
     # a float operand inside R meets a Decimal, which refuses it
     with pytest.raises(TypeError, match=r"exact scalars \(int or Decimal\)"):
-        scheme2_transport(lambda y: 0.5 * y, u0.coeffs, cfg)
-    traj, vals = scheme2_transport(brownian_R(K), u0.coeffs, cfg)
+        scheme2_transport(lambda y: 0.5 * y, u0, cfg)
+    traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
     assert traj.status == "completed"
     refs = np.exp(0.8**2 * np.linspace(0.0, T, N + 1) / 2.0)
     assert np.max(np.abs(vals - refs) / refs) < 5e-3

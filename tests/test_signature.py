@@ -14,7 +14,7 @@ from sigcalc.signature import (
 )
 from sigcalc.tensor import TensorCoeffs, all_words
 
-from conftest import random_path, random_tensor
+from conftest import path_to_csv, random_path, random_tensor
 
 
 def test_segment_signature_1d_closed_form():
@@ -144,7 +144,7 @@ def test_grouplike_multiplicativity_witness(rng):
 
 def test_path_csv_roundtrip(rng):
     path = random_path(rng, 3)
-    back = PiecewisePath.from_csv(path.to_csv())
+    back = PiecewisePath.from_csv(path_to_csv(path))
     assert np.allclose(back.times, path.times)
     assert np.allclose(back.points, path.points)
 

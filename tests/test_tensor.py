@@ -18,7 +18,7 @@ from sigcalc.tensor import (
     words_of_level,
 )
 
-from conftest import random_tensor, shift1, shift2
+from conftest import concat_exp, random_tensor, shift1, shift2
 
 
 # -- word indexing -----------------------------------------------------------
@@ -165,7 +165,7 @@ def test_concat_exp_matches_segment_series():
     v = TensorCoeffs.zero(d, N)
     v[(1,)] = 0.3
     v[(2,)] = -1.1
-    e = v.concat_exp()
+    e = concat_exp(v)
     for w in all_words(d, N):
         expect = 1.0
         for letter in w:
