@@ -112,6 +112,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     rows = []
     worst = 0.0
     worst_bases = 0.0
+    missing = 0
     for t in grid:
         k = int(round(t / T * cfg.steps)) if T > 0 else 0
         v1 = vals[k].real if k < len(vals) else float("nan")
@@ -119,11 +120,13 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
         ref = montecarlo.gauss_hermite_expectation(
             lambda z: np.exp(-c_ * y0 * np.exp(z)), variance=t
         ).real
-        worst = max(worst, abs(v1 - ref))
+        worst = max(worst, abs(v1 - ref))  # max skips a NaN: delivered rows only
         worst_bases = max(worst_bases, abs(v1 - v2))
+        missing += math.isnan(v1) or math.isnan(v2)
         rows.append([t, v1, v2, ref, abs(v1 - ref), traj.status])
     report.add_check("max deviation from quadrature", worst, 1e-3)
     report.add_check("basis agreement", worst_bases, 1e-8)
+    report.add_check("grid rows without a value", missing, 0)
     report.extra["field"] = spec.field.sizes()
     write_csv(
         out + ".csv",
@@ -303,10 +306,14 @@ def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):
         u0.coeffs,
         cfg,
     )
-    if gamma1 == 0.0 and gamma2 == 0.0:
-        refs = [1.0 / math.cosh(lam * t / 2.0) for t in traj.times]
-        worst = max(abs(v - r) for v, r in zip(vals, refs))
-        report.add_check("deviation from sech closed form", worst, 1e-6)
+    # Levy: sech(lam t/2) exp(-|gamma|^2 tanh(lam t/2)/lam), at lam = 0 its limit
+    g2 = gamma1**2 + gamma2**2
+    refs = [
+        math.exp(-(g2 * math.tanh(lam * t / 2.0) / lam if lam else g2 * t / 2.0))
+        / math.cosh(lam * t / 2.0) for t in traj.times
+    ]
+    worst = max(abs(v - r) for v, r in zip(vals, refs))
+    report.add_check("deviation from Levy's closed form", worst, 1e-6)
     report.extra["field"] = spec.field.sizes()
     rows = [
         [t, v.real, v.imag, traj.status] for t, v in zip(traj.times, vals)
@@ -383,8 +390,8 @@ def _load_coeffs(path: str, d: int | None, N: int | None) -> tensor.TensorCoeffs
 
 
 _dim_opts = [
-    click.option("--d", type=int, default=None, help="alphabet size (inferred if omitted)"),
-    click.option("--n", "--N", "N", type=int, default=None, help="truncation level (inferred if omitted)"),
+    click.option("--d", type=click.IntRange(min=1), default=None, help="alphabet size (inferred if omitted)"),
+    click.option("--n", "--N", "N", type=click.IntRange(min=0), default=None, help="truncation level (inferred if omitted)"),
     click.option("--out", type=str, required=True),
     click.option("--check", is_flag=True),
 ]
@@ -468,7 +475,7 @@ def algebra_log(a_path, d, N, out, check):
 
 @algebra.command("sig")
 @click.option("--path", "path_csv", type=str, required=True, help="path samples CSV")
-@click.option("--level", type=int, default=3, show_default=True)
+@click.option("--level", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--time-extend", "extend", is_flag=True)
 @click.option("--out", type=str, required=True)
 @click.option("--check", is_flag=True)

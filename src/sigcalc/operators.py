@@ -10,18 +10,20 @@ is recovered from the quadratic one through a two-point evaluation, and on
 shuffle exponentials L(exp u) = exp(u) sh R(u).
 
 Both operators are fixed sums of monomials in the coefficients, so each model
-is compiled once into a ``QuadraticField`` of index arrays: R, L, the linear
-matrix and the expected-signature generator all read that one field.  No
-right shift or shuffle of the state is taken at run time; the shift-and-
-shuffle formula is the tests' reference for the field.  A
-``SdeSpec`` is immutable, with read-only characteristics, so the field it
-caches cannot go stale.
+is compiled once into a ``QuadraticField`` of ``_Terms`` index arrays: R, L,
+the linear matrix and the expected-signature generator all read that one
+field.  The scalar models of ``sigcalc.powerseries`` compile into the same
+field over the monomial basis, so both calculi share one evaluation, on
+float, complex and object (Decimal, mpf) states.  No right shift or shuffle
+of the state is taken at run time; the shift-and-shuffle formula is the
+tests' reference for the field.  A ``SdeSpec`` is immutable, with read-only
+characteristics, so the field it caches cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,13 +60,10 @@ class SdeSpec:
         if len(self.a) != self.d or any(len(row) != self.d for row in self.a):
             raise ValueError("diffusion must be a d x d matrix of functionals")
         N = self.b[0].N
-        for c in self.b:
-            if c.d != self.d or c.N != N:
-                raise ValueError("all characteristics must share (d, N)")
+        if any(c.d != self.d or c.N != N for row in (self.b, *self.a) for c in row):
+            raise ValueError("all characteristics must share (d, N)")
         for i in range(self.d):
             for j in range(self.d):
-                if self.a[i][j].d != self.d or self.a[i][j].N != N:
-                    raise ValueError("all characteristics must share (d, N)")
                 if not self.a[i][j].allclose(self.a[j][i], tol=0.0):
                     raise ValueError("diffusion matrix must be symmetric")
         object.__setattr__(self, "b", tuple(_read_only(c) for c in self.b))
@@ -78,7 +77,7 @@ class SdeSpec:
 
     @cached_property
     def field(self) -> "QuadraticField":
-        return QuadraticField(self)
+        return QuadraticField(n_words(self.d, self.N_alg), partial(_tensor_terms, self.b, self.a))
 
     def with_truncation(self, N: int) -> "SdeSpec":
         return SdeSpec(
@@ -121,114 +120,151 @@ def black_scholes_spec(sigma: float, s0: float, N: int) -> SdeSpec:
 
 
 class _Terms:
-    """Monomials w u_p u_q, merged per (k, p <= q) and sorted by output word k."""
+    """Monomials m c z_p z_q adding to output word k: an integer multiplicity
+    m times a model coefficient c, on z = s u, the state scaled by integer
+    index weights s.  The state is read with a trailing 1, weight 1, so
+    linear terms take q = size.
 
-    def __init__(self, k, p, q, w):
-        k, p, q = (np.asarray(x, dtype=np.int64) for x in (k, p, q))
+    Float and complex states read the weights w = m c s_p s_q, merged per
+    (k, p <= q); the result has the dtype of w and the state together.
+    Object states (Decimal, mpf) read the terms per coefficient: only the
+    products of nonzero entries are formed, m z_p z_q is summed per k in the
+    state's precision and multiplied by c converted exactly into the state's
+    type (Decimal refuses floats).  Entries no product reaches stay the int
+    0, so a real state stays real.
+    """
+
+    def __init__(self, k, p, q, m, c, scale):
+        k, p, q, m = (np.asarray(x, dtype=np.int64) for x in (k, p, q, m))
+        c = np.asarray(c, dtype=np.complex128)
         p, q = np.minimum(p, q), np.maximum(p, q)  # u_p u_q = u_q u_p
         order = np.lexsort((q, p, k))
-        k, p, q = k[order], p[order], q[order]
-        new = np.ones(len(k), dtype=bool)
-        new[1:] = (np.diff(k) != 0) | (np.diff(p) != 0) | (np.diff(q) != 0)
-        first = np.flatnonzero(new)
-        w = np.asarray(w, dtype=np.complex128)[order]
-        w = np.add.reduceat(w, first) if len(first) else w
+        k, p, q, m, c = k[order], p[order], q[order], m[order], c[order]
+        s = np.append(np.asarray(scale, dtype=np.int64), 1)
+        self._scale = s.astype(object)
+        group = np.unique(c, return_inverse=True)[1]
+        by = np.argsort(group, kind="stable")  # keeps each group sorted by k
+        self._groups = []
+        for o in np.split(by, np.flatnonzero(np.diff(group[by], prepend=-1)))[1:]:
+            z = complex(c[o[0]])  # a float when real: Decimal takes no complex
+            self._groups.append((z if z.imag else z.real, k[o], p[o], q[o], m[o]))
+        first = np.flatnonzero(np.diff(np.stack([k, p, q]), axis=1, prepend=-1).any(axis=0))
+        w = np.add.reduceat(c * (m * s[p] * s[q]), first)
         self.k, self.p, self.q = k[first], p[first], q[first]
         self.w = w if w.imag.any() else w.real.copy()
         self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
         self.rows = self.k[self.starts]
 
-    def __len__(self) -> int:
-        return len(self.k)
-
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Sum the terms at the state y, extended by a trailing 1."""
+        """Sum the terms at the state y."""
+        if len(y) != len(self._scale) - 1:
+            raise ValueError(f"mismatched truncations {len(self._scale) - 2} vs {len(y) - 1}")
+        if y.dtype == object:
+            return self._apply_exact(y)
         ue = np.append(y, 1.0)
-        out = np.zeros(len(y), dtype=np.complex128)
-        if len(self.rows):
-            out[self.rows] = np.add.reduceat(self.w * ue[self.p] * ue[self.q], self.starts)
+        out = np.zeros(len(y), dtype=np.result_type(self.w, y))
+        out[self.rows] = np.add.reduceat(self.w * ue[self.p] * ue[self.q], self.starts)
+        return out
+
+    def _apply_exact(self, y: np.ndarray) -> np.ndarray:
+        z = self._scale * np.append(y, 1)
+        on = z != 0
+        out = np.zeros(len(y), dtype=object)
+        like = y[on[:-1].argmax()]  # a nonzero entry, if there is one
+        exact = (lambda c: c) if isinstance(like, (int, float)) else type(like)
+        for c, k, p, q, m in self._groups:
+            keep = on[p] & on[q]
+            k, m = k[keep], m[keep]
+            prod = z[p[keep]] * z[q[keep]]
+            big = m != 1
+            prod[big] = m[big] * prod[big]
+            first = np.flatnonzero(np.diff(k, prepend=-1))
+            out[k[first]] = out[k[first]] + exact(c) * np.add.reduceat(prod, first)
         return out
 
 
 class QuadraticField:
-    """R and L of one model as index arrays over the word basis.
-
-    With u1_i the right shift by letter i and u2_ji the shift by the suffix
-    (i, j), R(u) = sum_i b_i sh u1_i + (1/2) sum_ij a_ij sh (u2_ji + u1_j sh
-    u1_i).  Expanding the shuffles word by word turns this into terms
-    (k, p, q, w), each adding w u_p u_q to word k.  A nonzero word c of b_i
-    feeds c sh p from the input word p.i; a word c of a_ij feeds (1/2) c sh p
-    from p.i.j and (1/2) c sh (p sh q) from the pair (p.j, q.i).  Linear terms
-    take q = size, an index past the state, where ``apply`` finds a 1.
-
-    The linear terms are built with the field; the quadratic ones, which L
-    and the linear matrix never need, on the first evaluation of R.
+    """R and L of one model as ``_Terms`` over a basis of ``size`` entries:
+    ``build(quadratic)`` returns the terms of R, or of L without
+    ``quadratic``; R's, which L and the linear matrix never need, on first use.
     """
 
-    def __init__(self, spec: SdeSpec):
-        self.d, self.N = spec.d, spec.N_alg
-        self.size = n_words(self.d, self.N)
-        self._b, self._a = spec.b, spec.a
-        self._words = list(all_words(self.d, self.N))
-        self._index = {w: k for k, w in enumerate(self._words)}
-        self.linear = self._build(quadratic=False)
+    def __init__(self, size: int, build):
+        self.size = size
+        self._build = build
+        self.linear = build(quadratic=False)
 
     @cached_property
     def riccati(self) -> _Terms:
         """Linear and quadratic terms together: the whole of R."""
         return self._build(quadratic=True)
 
-    def _prefix(self, n: int) -> list:
-        """Words of length <= n (none for n < 0)."""
-        return self._words[: n_words(self.d, n)] if n >= 0 else []
-
-    def _build(self, quadratic: bool) -> _Terms:
-        N, index, one = self.N, self._index, self.size
-        k, p, q, w = [], [], [], []
-
-        def support(c: TensorCoeffs):
-            return [(self._words[n], c.coeffs[n]) for n in np.flatnonzero(c.coeffs)]
-
-        def linear(c: TensorCoeffs, suffix: tuple, scale: float):
-            for cw, cv in support(c):
-                for pw in self._prefix(min(N - len(suffix), N - len(cw))):
-                    col = index[pw + suffix]
-                    for s, m in shuffle_word_pair(cw, pw):
-                        k.append(index[s])
-                        p.append(col)
-                        q.append(one)
-                        w.append(scale * cv * m)
-
-        def pairs(c: TensorCoeffs, i: int, j: int):
-            for cw, cv in support(c):
-                room = N - len(cw)
-                for pw in self._prefix(min(N - 1, room)):
-                    left = index[pw + (j,)]
-                    for qw in self._prefix(min(N - 1, room - len(pw))):
-                        right = index[qw + (i,)]
-                        for s, m1 in shuffle_word_pair(pw, qw):
-                            for t, m2 in shuffle_word_pair(cw, s):
-                                k.append(index[t])
-                                p.append(left)
-                                q.append(right)
-                                w.append(0.5 * cv * (m1 * m2))
-
-        for i in range(1, self.d + 1):
-            linear(self._b[i - 1], (i,), 1.0)
-        for i in range(1, self.d + 1):
-            for j in range(1, self.d + 1):
-                linear(self._a[i - 1][j - 1], (i, j), 0.5)
-                if quadratic:
-                    pairs(self._a[i - 1][j - 1], i, j)
-        return _Terms(k, p, q, w)
+    def matrix(self) -> np.ndarray:
+        """Matrix of L on the basis: column p holds L(e_p)."""
+        G = np.zeros((self.size, self.size), dtype=self.linear.w.dtype)
+        G[self.linear.k, self.linear.p] = self.linear.w  # merged: one per (k, p)
+        return G
 
     def sizes(self) -> dict:
-        """Words, linear terms and quadratic terms: what one call of R costs."""
+        """Basis size, linear terms and quadratic terms: what one call of R costs."""
         return {
             "words": self.size,
-            "linear_terms": len(self.linear),
-            "quadratic_terms": len(self.riccati) - len(self.linear),
+            "linear_terms": len(self.linear.w),
+            "quadratic_terms": len(self.riccati.w) - len(self.linear.w),
         }
+
+
+def _tensor_terms(b: tuple, a: tuple, quadratic: bool) -> _Terms:
+    """R, or L without ``quadratic``, of the model with drift b and diffusion
+    a as terms over the word basis.
+
+    With u1_i the right shift by letter i and u2_ji the shift by the suffix
+    (i, j), R(u) = sum_i b_i sh u1_i + (1/2) sum_ij a_ij sh (u2_ji + u1_j sh
+    u1_i).  Expanding the shuffles word by word turns this into terms
+    (k, p, q, m, c), each adding m c u_p u_q to word k.  A nonzero word c of
+    b_i feeds c sh p from the input word p.i; a word c of a_ij feeds
+    (1/2) c sh p from p.i.j and (1/2) c sh (p sh q) from the pair
+    (p.j, q.i).
+    """
+    d, N = len(b), b[0].N
+    words = list(all_words(d, N))
+    index = {w: k for k, w in enumerate(words)}
+    one = len(words)
+    terms = []  # (k, p, q, m, c)
+
+    def prefix(n: int) -> list:
+        """Words of length <= n (none for n < 0)."""
+        return words[: n_words(d, n)] if n >= 0 else []
+
+    def support(coef: TensorCoeffs):
+        return [(words[n], coef.coeffs[n]) for n in np.flatnonzero(coef.coeffs)]
+
+    def linear(coef: TensorCoeffs, suffix: tuple, scale: float):
+        for cw, cv in support(coef):
+            for pw in prefix(min(N - len(suffix), N - len(cw))):
+                col = index[pw + suffix]
+                for s, mult in shuffle_word_pair(cw, pw):
+                    terms.append((index[s], col, one, mult, scale * cv))
+
+    def pairs(coef: TensorCoeffs, i: int, j: int):
+        for cw, cv in support(coef):
+            room = N - len(cw)
+            for pw in prefix(min(N - 1, room)):
+                left = index[pw + (j,)]
+                for qw in prefix(min(N - 1, room - len(pw))):
+                    right = index[qw + (i,)]
+                    for s, m1 in shuffle_word_pair(pw, qw):
+                        for t, m2 in shuffle_word_pair(cw, s):
+                            terms.append((index[t], left, right, m1 * m2, 0.5 * cv))
+
+    for i in range(1, d + 1):
+        linear(b[i - 1], (i,), 1.0)
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            linear(a[i - 1][j - 1], (i, j), 0.5)
+            if quadratic:
+                pairs(a[i - 1][j - 1], i, j)
+    return _Terms(*(zip(*terms) if terms else [()] * 5), np.ones(one))
 
 
 def _check_state(u: TensorCoeffs, spec: SdeSpec) -> None:
@@ -285,10 +321,7 @@ def linear_matrix(spec: SdeSpec, N: int) -> np.ndarray:
                     f"diffusion entry ({i + 1},{j + 1}) involves a word of "
                     f"length {lvl}; the linear operator would leave the truncation"
                 )
-    terms = sp.field.linear
-    G = np.zeros((sp.field.size, sp.field.size), dtype=terms.w.dtype)
-    G[terms.k, terms.p] = terms.w  # merged terms: one per (k, p)
-    return G
+    return sp.field.matrix()
 
 
 def expected_signature_matrix(spec: SdeSpec, N: int) -> np.ndarray:

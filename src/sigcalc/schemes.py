@@ -159,9 +159,9 @@ def scheme2_transport(
     is enough to destroy the cancellation).  On that path the state must be
     real (``decimal`` has no complex type; a complex state raises
     ValueError), and R_fn receives an object array of Decimals and must
-    return one of exact scalars, int or Decimal: R_pow does, as it takes
-    the object array itself and returns one; R_op does not (TensorCoeffs
-    holds complex128), and a float, as operand or result, raises TypeError.
+    return one of exact scalars, int or Decimal: R_pow does, its field (R_op's)
+    taking and returning the object array; R_op does not (TensorCoeffs holds
+    complex128), and a float, as operand or result, raises TypeError.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value

@@ -283,8 +283,9 @@ def R_pow_reference(u, model):
     """R(u) = b u' + (1/2) a (u'' + u' u'), with dense Cauchy products.
 
     The formula the scalar operators evaluated before the model was
-    compiled; ``ScalarField`` is checked against it.  Like ``R_pow``, it
-    takes and returns coefficient arrays, u_k at index k.
+    compiled; the field behind ``R_pow``, the one ``R_op`` reads, is
+    checked against it.  Like ``R_pow``, it takes and returns coefficient
+    arrays, u_k at index k.
     """
     b, ah = _pow_coefficients(model, u)
     u1 = _derivative(u)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -45,6 +46,18 @@ def test_gbm_laplace(runner, tmp_path):
     # K=20 at d=1: R reads u_(p.1.1) for |p| <= 18, and one merged product
     # term per unordered pair of exponents {a, b} with a + b <= 20, a, b <= 19
     assert report["field"] == {"words": 21, "linear_terms": 19, "quadratic_terms": 120}
+
+
+def test_gbm_laplace_check_counts_rows_without_a_value(runner, tmp_path):
+    # at K=40 the direct ODE explodes before T=1 and leaves one grid row
+    # without a value; that row fails the check, the deviations stay finite
+    stem = tmp_path / "gbm"
+    result = runner.invoke(main, ["gbm-laplace", "--K", "40", "--out", str(stem), "--check"])
+    assert result.exit_code == 1, result.output
+    checks = {c["name"]: c for c in read_report(stem)["checks"]}
+    assert checks["grid rows without a value"]["value"] == 1
+    assert not checks["grid rows without a value"]["pass"]
+    assert all(math.isfinite(c["value"]) for c in checks.values())
 
 
 def test_bm_quartic_small(runner, tmp_path):
@@ -105,6 +118,21 @@ def test_levy_area(runner, tmp_path):
     # d=2, N=2: u_11 and u_22 feed the empty word; each letter i contributes
     # 7 products of u_(p.i) u_(q.i), one per output word of p sh q
     assert report["field"] == {"words": 7, "linear_terms": 2, "quadratic_terms": 14}
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.0])
+def test_levy_area_checks_the_joint_transform(runner, tmp_path, lam):
+    # with gamma != 0 the check reads Levy's joint transform of area and
+    # endpoint; at lam = 0 its limit exp(-|gamma|^2 t/2)
+    stem = tmp_path / "levy"
+    result = runner.invoke(
+        main,
+        ["levy-area", "--lambda", str(lam), "--gamma1", "1", "--gamma2", "0.5", "--out", str(stem), "--check"],
+    )
+    assert result.exit_code == 0, result.output
+    (check,) = read_report(stem)["checks"]
+    assert check["name"] == "deviation from Levy's closed form"
+    assert check["pass"] and check["value"] < 1e-12
 
 
 def test_expected_sig(runner, tmp_path):
@@ -255,6 +283,10 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
         (["gbm-laplace", "--K", "171"], "'--K'"),  # 171! overflows float64
         (["gbm-laplace", "--K", "200"], "'--K'"),
         (["expected-sig", "--level", "-1"], "'--level'"),
+        (["algebra", "sig", "--path", "p.csv", "--level", "-1"], "'--level'"),
+        (["algebra", "exp", "--a", "a.txt", "--N", "-1"], "'--N'"),
+        (["algebra", "shuffle", "--a", "a.txt", "--b", "b.txt", "--N", "-1"], "'--N'"),
+        (["algebra", "exp", "--a", "a.txt", "--d", "0"], "'--d'"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, args, option):
