@@ -29,6 +29,7 @@ from .schemes import (
     scheme1_riccati,
     scheme2_transport,
     scheme3_linear,
+    expected_signature,
     matrix_exp,
 )
 from .montecarlo import (

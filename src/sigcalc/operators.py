@@ -298,30 +298,25 @@ def poly_from_affine(u: TensorCoeffs, spec: SdeSpec, lam: float = 2.0) -> Tensor
     )
 
 
-def linear_matrix(spec: SdeSpec, N: int) -> np.ndarray:
-    """Matrix of the linear operator on the word basis of levels 0..N.
-
-    Read off the field's linear terms.  Requires characteristics that keep
-    the operator inside the truncation:
-    diffusion entries supported on words of length <= 2 and drift entries on
-    length <= 1.  Column k holds the coefficients of L(e_k).
-    """
+def linear_field(spec: SdeSpec, N: int) -> QuadraticField:
+    """The field of ``spec`` at truncation N, once its linear operator is
+    checked to stay inside the truncation: drift entries supported on words
+    of length <= 1 and diffusion entries on length <= 2."""
     sp = spec if spec.N_alg == N else spec.with_truncation(N)
-    for i in range(spec.d):
-        lvl = sp.b[i].max_support_level()
-        if lvl > 1:
-            raise ValueError(
-                f"drift component {i + 1} involves a word of length {lvl}; "
-                "the linear operator would leave the truncation"
-            )
-        for j in range(spec.d):
-            lvl = sp.a[i][j].max_support_level()
-            if lvl > 2:
-                raise ValueError(
-                    f"diffusion entry ({i + 1},{j + 1}) involves a word of "
-                    f"length {lvl}; the linear operator would leave the truncation"
-                )
-    return sp.field.matrix()
+    for i in range(1, spec.d + 1):
+        for name, coef, cap in [(f"drift component {i}", sp.b[i - 1], 1)] + [
+            (f"diffusion entry ({i},{j})", sp.a[i - 1][j - 1], 2) for j in range(1, spec.d + 1)
+        ]:
+            if (lvl := coef.max_support_level()) > cap:
+                raise ValueError(f"{name} involves a word of length {lvl}; "
+                                 "the linear operator would leave the truncation")
+    return sp.field
+
+
+def linear_matrix(spec: SdeSpec, N: int) -> np.ndarray:
+    """Matrix of L on the word basis of levels 0..N, read off the terms of
+    ``linear_field(spec, N)``: column k holds the coefficients of L(e_k)."""
+    return linear_field(spec, N).matrix()
 
 
 def expected_signature_matrix(spec: SdeSpec, N: int) -> np.ndarray:

@@ -6,8 +6,8 @@ Three routes to E[exp(<u, X_T>)] and E[<u, X_T>]:
    exponentiate its scalar part;
 2. a binomial transport mixture built from repeated explicit half-steps of
    the quadratic operator, which postpones blow-up of route 1;
-3. exponentiate the matrix of the linear operator when it preserves the
-   truncation.
+3. exponentiate the linear operator when it preserves the truncation: a dense
+   matrix exponential, or a sparse action for expected signatures.
 
 All routes detect and report explosion instead of silently returning junk.
 Route 1 stops at the first step at which the coefficients or the value
@@ -24,9 +24,12 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import count
 from typing import Callable, Iterator
 
 import numpy as np
+
+from .operators import SdeSpec, linear_field
 
 # Route 2 flags explosion at a grid value above this magnitude, or whose
 # second difference exceeds this fraction of the local scale.
@@ -328,6 +331,38 @@ def scheme3_linear(
             acc = acc * x0 + ck
         value = complex(acc)
     return c, value
+
+
+def expected_signature(spec: SdeSpec, N: int, T: float) -> np.ndarray:
+    """Route 3 for a tensor model: the expected signature exp(T G^T) e_0 at
+    level N, acting with G^T (G the matrix of L) from the field's linear terms
+    (k, p, w), each adding w v[k] to entry p: no n x n array is formed.  A
+    Taylor series with scaling (Al-Mohy and Higham, SIAM J. Sci. Comput. 2011):
+    s = ceil(T ||G^T||_1) steps, each summed until two successive terms fall
+    below 2^-53 ||F|| in max norm, or one vanishes (a nilpotent field)."""
+    field = linear_field(spec, N)
+    k, p, w, n = field.linear.k, field.linear.p, field.linear.w, field.size
+
+    def act(v: np.ndarray) -> np.ndarray:
+        wv = w * v[k]
+        if np.iscomplexobj(wv):  # bincount takes real weights only
+            return np.bincount(p, wv.real, n) + 1j * np.bincount(p, wv.imag, n)
+        return np.bincount(p, wv, n)
+
+    s = max(1, math.ceil(T * np.bincount(k, np.abs(w), n).max()))
+    F = np.eye(1, n, dtype=w.dtype)[0]
+    with np.errstate(all="ignore"):
+        for _ in range(s):
+            term, c1 = F, np.abs(F).max()
+            for j in count(1):
+                term = act(term) * (T / s / j)
+                F, c2 = F + term, np.abs(term).max()
+                if not c2 or not c1 + c2 > 2.0**-53 * np.abs(F).max():
+                    break  # also on NaN, which the check below reports
+                c1 = c2
+    if not np.all(np.isfinite(F)):
+        raise FloatingPointError("linear propagation produced non-finite values")
+    return F
 
 
 def matrix_exp(G: np.ndarray, t: float = 1.0) -> np.ndarray:

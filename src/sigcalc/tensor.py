@@ -103,44 +103,46 @@ def shuffle_word_pair(left: Word, right: Word) -> tuple[tuple[Word, int], ...]:
 
 class _Tables:
     """Sparse index tables of the shuffle and concatenation products for one
-    (d, N) pair."""
+    (d, N) pair, built by index arithmetic on word ranks."""
 
     def __init__(self, d: int, N: int):
-        words = list(all_words(d, N))
+        offs = np.array(level_offsets(d, N), dtype=np.int64)
 
-        # shuffle triplets, grouped contiguously per word pair
-        tri_i, tri_j, tri_k, tri_c = [], [], [], []
-        pr_i, pr_j, pr_start = [], [], []
-        for i, wi in enumerate(words):
-            for j, wj in enumerate(words):
-                if len(wi) + len(wj) > N:
-                    continue
-                pr_i.append(i)
-                pr_j.append(j)
-                pr_start.append(len(tri_i))
-                for w, c in shuffle_word_pair(wi, wj):
-                    tri_i.append(i)
-                    tri_j.append(j)
-                    tri_k.append(word_index(w, d))
-                    tri_c.append(c)
-        self.sh_i = np.array(tri_i, dtype=np.int64)
-        self.sh_j = np.array(tri_j, dtype=np.int64)
-        self.sh_k = np.array(tri_k, dtype=np.int64)
-        self.sh_c = np.array(tri_c, dtype=np.float64)
-        self.pair_i = np.array(pr_i, dtype=np.int64)
-        self.pair_j = np.array(pr_j, dtype=np.int64)
-        self.pair_start = np.array(pr_start, dtype=np.int64)
+        # shuffle triplets per level pair (n1, n2): ranks a, b of two words
+        # within their levels, the rank r of a word of level n1 + n2 in their
+        # shuffle and its multiplicity c, by (u.x) sh (v.y) = (u sh v.y).x +
+        # (u.x sh v).y; then ordered by (i, j, k), grouped per word pair
+        x = np.arange(d, dtype=np.int64)[:, None]
+        pair = {}
+        for n in range(N + 1):
+            r = np.arange(d**n, dtype=np.int64)
+            pair[n, 0], pair[0, n] = (r, 0 * r, r, 1.0 + 0 * r), (0 * r, r, r, 1.0 + 0 * r)
+            for n1 in range(1, n):
+                n2 = n - n1
+                (a1, b1, r1, c1), (a2, b2, r2, c2) = pair[n1 - 1, n2], pair[n1, n2 - 1]
+                a, b, r, c = (np.concatenate([u.ravel(), v.ravel()]) for u, v in [
+                    (a1 * d + x, a2 + 0 * x), (b1 + 0 * x, b2 * d + x),
+                    (r1 * d + x, r2 * d + x), (c1 + 0 * x, c2 + 0 * x)])
+                key, at = np.unique((a * d**n2 + b) * d**n + r, return_inverse=True)
+                pair[n1, n2] = (*np.divmod(key // d**n, d**n2), key % d**n, np.bincount(at, c))
+        i, j, k, c = (np.concatenate(v) for v in zip(*(
+            (offs[n1] + a, offs[n2] + b, offs[n1 + n2] + r, c)
+            for (n1, n2), (a, b, r, c) in pair.items())))
+        order = np.lexsort((k, j, i))
+        self.sh_i, self.sh_j, self.sh_k, self.sh_c = i[order], j[order], k[order], c[order]
+        self.pair_start = np.flatnonzero(np.diff(self.sh_i * offs[-1] + self.sh_j, prepend=-1))
+        self.pair_i, self.pair_j = self.sh_i[self.pair_start], self.sh_j[self.pair_start]
 
-        # concatenation triplets: every split of every word
+        # concatenation triplets: every cut c of every word k of level n,
+        # the prefix of length c and the suffix of length n - c
         ci, cj, ck = [], [], []
-        for k, w in enumerate(words):
-            for cut in range(len(w) + 1):
-                ci.append(word_index(w[:cut], d))
-                cj.append(word_index(w[cut:], d))
-                ck.append(k)
-        self.cc_i = np.array(ci, dtype=np.int64)
-        self.cc_j = np.array(cj, dtype=np.int64)
-        self.cc_k = np.array(ck, dtype=np.int64)
+        for n in range(N + 1):
+            rank = np.arange(d**n, dtype=np.int64)[:, None]
+            tail = d ** np.arange(n, -1, -1)  # d^(n - c) for c = 0..n
+            ci.append((offs[: n + 1] + rank // tail).ravel())
+            cj.append((offs[n::-1] + rank % tail).ravel())
+            ck.append(np.repeat(offs[n] + rank.ravel(), n + 1))
+        self.cc_i, self.cc_j, self.cc_k = (np.concatenate(x) for x in (ci, cj, ck))
 
 
 _table_cache: dict[tuple[int, int], _Tables] = {}

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from sigcalc.montecarlo import SimConfig, _block_rng, _blocks
 from sigcalc.operators import L_op
 from sigcalc.powerseries import Model1D
-from sigcalc.tensor import TensorCoeffs, level_offsets, n_words
+from sigcalc.tensor import TensorCoeffs, all_words, level_offsets, n_words, shuffle_word_pair, word_index
 
 
 @pytest.fixture
@@ -110,6 +110,38 @@ def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
             x = x + drift * dt + np.sqrt(diff2) * sqrt_dt * rng.standard_normal(nb)
         finals[blk * cfg.block_size : blk * cfg.block_size + nb] = x
     return Sim1DResult(finals=finals, clamped_steps=clamped, n_steps=steps)
+
+
+def tables_reference(d, N):
+    """The ten index arrays of ``tensor.tables(d, N)``, built word by word:
+    shuffle triplets (i, j, k, c) grouped per word pair (i, j) in rank order,
+    then concatenation triplets per word k and cut."""
+    words = list(all_words(d, N))
+    tri_i, tri_j, tri_k, tri_c = [], [], [], []
+    pr_i, pr_j, pr_start = [], [], []
+    for i, wi in enumerate(words):
+        for j, wj in enumerate(words):
+            if len(wi) + len(wj) > N:
+                continue
+            pr_i.append(i)
+            pr_j.append(j)
+            pr_start.append(len(tri_i))
+            for w, c in shuffle_word_pair(wi, wj):
+                tri_i.append(i)
+                tri_j.append(j)
+                tri_k.append(word_index(w, d))
+                tri_c.append(c)
+    ci, cj, ck = [], [], []
+    for k, w in enumerate(words):
+        for cut in range(len(w) + 1):
+            ci.append(word_index(w[:cut], d))
+            cj.append(word_index(w[cut:], d))
+            ck.append(k)
+    out = dict(sh_i=tri_i, sh_j=tri_j, sh_k=tri_k, pair_i=pr_i, pair_j=pr_j,
+               pair_start=pr_start, cc_i=ci, cc_j=cj, cc_k=ck)
+    out = {name: np.array(v, dtype=np.int64) for name, v in out.items()}
+    out["sh_c"] = np.array(tri_c, dtype=np.float64)
+    return out
 
 
 def concat_exp(x):

@@ -130,9 +130,22 @@ def test_levy_area_checks_the_joint_transform(runner, tmp_path, lam):
         ["levy-area", "--lambda", str(lam), "--gamma1", "1", "--gamma2", "0.5", "--out", str(stem), "--check"],
     )
     assert result.exit_code == 0, result.output
-    (check,) = read_report(stem)["checks"]
-    assert check["name"] == "deviation from Levy's closed form"
+    checks = {c["name"]: c for c in read_report(stem)["checks"]}
+    assert set(checks) == {"deviation from Levy's closed form", "grid rows without a value"}
+    check = checks["deviation from Levy's closed form"]
     assert check["pass"] and check["value"] < 1e-12
+
+
+def test_levy_area_check_counts_rows_without_a_value(runner, tmp_path):
+    # RK4 at lambda h / 2 = 5 is unstable: route 1 explodes at its first
+    # step and delivers only the t = 0 row, which matches the closed form
+    stem = tmp_path / "levy"
+    args = ["levy-area", "--lambda", "2000", "--T", "1", "--steps", "200"]
+    result = runner.invoke(main, [*args, "--out", str(stem), "--check"])
+    assert result.exit_code == 1, result.output
+    checks = {c["name"]: c for c in read_report(stem)["checks"]}
+    assert checks["grid rows without a value"]["value"] == 200
+    assert checks["deviation from Levy's closed form"]["pass"]
 
 
 def test_expected_sig(runner, tmp_path):
@@ -143,6 +156,32 @@ def test_expected_sig(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert read_report(stem)["passed"]
+
+
+@pytest.mark.parametrize(
+    "args", [[], ["--level", "8", "--sigma", "0.4", "--s0", "2"]], ids=["defaults", "level8"]
+)
+def test_expected_sig_checks_pure_asset_words(runner, tmp_path, args):
+    # (2,...,2) of length n against E[(S_T - s0)^n]/n! of the lognormal asset
+    stem = tmp_path / "esig"
+    result = runner.invoke(main, ["expected-sig", *args, "--out", str(stem), "--check"])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c for c in read_report(stem)["checks"]}
+    asset = checks["pure-asset words vs lognormal moments"]
+    assert asset["pass"] and asset["tolerance"] == 1e-10
+
+
+def test_expected_sig_forms_no_dense_generator(runner, tmp_path, monkeypatch):
+    from sigcalc import operators, schemes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route called")
+
+    for owner, name in [(operators, "expected_signature_matrix"), (operators, "linear_matrix"),
+                        (schemes, "matrix_exp"), (schemes, "scheme3_linear")]:
+        monkeypatch.setattr(owner, name, refuse)
+    result = runner.invoke(main, ["expected-sig", "--level", "6", "--out", str(tmp_path / "e"), "--check"])
+    assert result.exit_code == 0, result.output
 
 
 def test_expected_sig_builds_no_shuffle_table(runner, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """ODE integration, the three value schemes, and the matrix exponential."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sigcalc import operators, powerseries, tensor
 from sigcalc.powerseries import R_pow, brownian_model, to_factorial_basis
 from sigcalc.schemes import (
     SchemeConfig,
+    expected_signature,
     matrix_exp,
     ode_integrate,
     scheme1_riccati,
@@ -380,3 +382,64 @@ def test_scheme3_rejects_overflow():
     G = np.array([[2000.0]])
     with pytest.raises(FloatingPointError):
         scheme3_linear(G, np.array([1.0]), T=1.0)
+
+
+# -- expected signatures from the field's terms --------------------------------
+
+
+def dense_expected_signature(spec, N, T):
+    """exp(T G^T) e_0 by the dense generator and the Pade exponential."""
+    return matrix_exp(operators.expected_signature_matrix(spec, N), T)[:, 0]
+
+
+def test_expected_signature_brownian_d3_N8_closed_form():
+    # E[sig of BM at T] = exp(T/2 sum_i e_i e_i): the word i1 i1 ... im im
+    # has (T/2)^m / m!, every other word 0.  The dense generator alone would
+    # take 9841^2 complex entries, 1.5 GB.
+    d, N, T = 3, 8, 1.0
+    tracemalloc.start()
+    try:
+        got = expected_signature(operators.brownian_spec(d, N), N, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.zeros(tensor.n_words(d, N))
+    for k, w in enumerate(tensor.all_words(d, N)):
+        if len(w) % 2 == 0 and w[::2] == w[1::2]:
+            want[k] = (T / 2) ** (len(w) // 2) / math.factorial(len(w) // 2)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+def test_expected_signature_matches_the_dense_route(N):
+    rng = np.random.default_rng(100 + N)
+    sigma, s0, T = rng.uniform(0.1, 0.4), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    spec = operators.black_scholes_spec(sigma, s0, N)
+    got = expected_signature(spec, N, T)
+    assert np.max(np.abs(got - dense_expected_signature(spec, N, T))) <= 1e-14
+
+
+def test_expected_signature_correlated_and_complex_fields():
+    cov = np.array([[1.0, 0.4], [0.4, 0.5]])
+    spec = operators.brownian_spec(2, 6, cov)
+    got = expected_signature(spec, 6, 0.8)
+    assert np.max(np.abs(got - dense_expected_signature(spec, 6, 0.8))) <= 1e-14
+    # a complex drift takes the complex branch of the action
+    b = [tensor.TensorCoeffs.unit(2, 4) * (0.3 + 0.2j), tensor.TensorCoeffs.zero(2, 4)]
+    b[1][(1,)] = -0.5j
+    a = [[c.with_truncation(4) for c in row] for row in spec.a]
+    spec = operators.SdeSpec(d=2, x0=np.zeros(2), b=b, a=a)
+    got = expected_signature(spec, 4, 0.7)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - dense_expected_signature(spec, 4, 0.7))) <= 1e-14
+
+
+def test_expected_signature_checks_the_support():
+    spec = operators.brownian_spec(2, 3)
+    a = [[c.copy() for c in row] for row in spec.a]
+    a[0][0][(1, 2, 1)] = 0.1
+    wide = operators.SdeSpec(d=2, x0=np.zeros(2), b=spec.b, a=a)
+    with pytest.raises(ValueError, match=r"diffusion entry \(1,1\) involves a word of length 3"):
+        expected_signature(wide, 3, 1.0)

@@ -14,11 +14,12 @@ from sigcalc.tensor import (
     level_offsets,
     n_words,
     shuffle_word_pair,
+    tables,
     word_index,
     words_of_level,
 )
 
-from conftest import concat_exp, random_tensor, shift1, shift2
+from conftest import concat_exp, random_tensor, shift1, shift2, tables_reference
 
 
 # -- word indexing -----------------------------------------------------------
@@ -44,6 +45,19 @@ def test_level_layout():
         assert [word_index(w, d) for w in ws] == list(
             range(offs[n], offs[n] + d**n)
         )
+
+
+@pytest.mark.parametrize(
+    "d,N", [(1, 0), (1, 5), (2, 0), (2, 3), (2, 6), (3, 4), (4, 3)]
+)
+def test_tables_match_the_word_by_word_build(d, N):
+    tab = tables(d, N)
+    ref = tables_reference(d, N)
+    assert len(ref) == 10
+    for name, want in ref.items():
+        got = getattr(tab, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 # -- shuffle product ---------------------------------------------------------
