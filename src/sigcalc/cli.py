@@ -65,6 +65,26 @@ def _int_list(minimum: int):
     return parse
 
 
+class _FiniteFloat(click.FloatRange):
+    """A finite float, at least ``min`` when one is given.  FloatRange lets
+    nan and inf through (nan compares false with any bound)."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{x} is not a finite number.", param, ctx)
+        return x
+
+    def _describe_range(self) -> str:
+        return "" if self.min is None else super()._describe_range()
+
+
+_FINITE = _FiniteFloat()
+_NONNEGATIVE = _FiniteFloat(min=0)
+
+
 @click.group()
 def main():
     """Coefficient-ODE calculators for signature and polynomial diffusions."""
@@ -72,9 +92,9 @@ def main():
 
 
 @main.command("gbm-laplace")
-@click.option("--c", "c_", type=float, default=1.0, show_default=True)
-@click.option("--y0", type=float, default=1.0, show_default=True)
-@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--c", "c_", type=_FINITE, default=1.0, show_default=True)
+@click.option("--y0", type=_FINITE, default=1.0, show_default=True)
+@click.option("--t", "--T", "T", type=_NONNEGATIVE, default=1.0, show_default=True)
 @click.option(
     "--k", "--K", "K", type=click.IntRange(0, 170), default=20, show_default=True,
     help="truncation degree; at most 170, since the factorial basis holds k! "
@@ -103,9 +123,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     )
     spec = operators.brownian_spec(1, K)
     traj2, vals2 = schemes.scheme1_riccati(
-        lambda y: operators.R_op(tensor.TensorCoeffs(1, K, y), spec).coeffs,
-        powerseries.to_factorial_basis(u0),
-        cfg,
+        spec.field.riccati.apply, powerseries.to_factorial_basis(u0), cfg
     )
 
     grid = [i * 0.05 for i in range(int(round(T / 0.05)) + 1)] if T >= 0.05 else [T]
@@ -128,6 +146,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     report.add_check("basis agreement", worst_bases, 1e-8)
     report.add_check("grid rows without a value", missing, 0)
     report.extra["field"] = spec.field.sizes()
+    report.extra["integrator"] = {"monomial_basis": traj.stats, "factorial_basis": traj2.stats}
     write_csv(
         out + ".csv",
         ["t", "monomial_basis", "factorial_basis", "quadrature", "abs_err", "status"],
@@ -147,7 +166,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
 
 
 @main.command("bm-quartic")
-@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--t", "--T", "T", type=_NONNEGATIVE, default=1.0, show_default=True)
 @click.option("--k", "--K", "K", type=click.IntRange(min=4), default=160, show_default=True)
 @click.option("--n", "--N", "N", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--m", "--M", "Ms", type=str, default="80,160,320", show_default=True, callback=_int_list(1))
@@ -209,6 +228,7 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
         report.extra.setdefault("riccati_explosion_times", {})[str(kk)] = (
             trajk.explosion_time
         )
+        report.extra.setdefault("riccati_integrator", {})[str(kk)] = trajk.stats
 
     header = ["t", "quadrature"] + [f"transport_M{m}" for m in Ms]
     rows = [
@@ -233,11 +253,11 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
 
 
 @main.command("jacobi-mgf")
-@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1000.0, show_default=True)
+@click.option("--t", "--T", "T", type=_NONNEGATIVE, default=1000.0, show_default=True)
 @click.option("--k", "--K", "K", type=click.IntRange(min=2), default=40, show_default=True)
-@click.option("--x0", type=float, default=0.5, show_default=True)
-@click.option("--cmin", type=float, default=-3.0, show_default=True)
-@click.option("--cmax", type=float, default=3.0, show_default=True)
+@click.option("--x0", type=_FINITE, default=0.5, show_default=True)
+@click.option("--cmin", type=_FINITE, default=-3.0, show_default=True)
+@click.option("--cmax", type=_FINITE, default=3.0, show_default=True)
 @click.option("--num", type=click.IntRange(min=1), default=25, show_default=True)
 @click.option("--out", type=str, default="jacobi_mgf", show_default=True)
 @click.option("--check", is_flag=True)
@@ -280,10 +300,10 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
 
 
 @main.command("levy-area")
-@click.option("--lambda", "lam", type=float, default=1.0, show_default=True)
-@click.option("--gamma1", type=float, default=0.0, show_default=True)
-@click.option("--gamma2", type=float, default=0.0, show_default=True)
-@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--lambda", "lam", type=_FINITE, default=1.0, show_default=True)
+@click.option("--gamma1", type=_FINITE, default=0.0, show_default=True)
+@click.option("--gamma2", type=_FINITE, default=0.0, show_default=True)
+@click.option("--t", "--T", "T", type=_NONNEGATIVE, default=1.0, show_default=True)
 @click.option("--steps", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--out", type=str, default="levy_area", show_default=True)
 @click.option("--check", is_flag=True)
@@ -301,11 +321,7 @@ def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):
     u0[(1,)] = 1j * gamma1
     u0[(2,)] = 1j * gamma2
     cfg = schemes.SchemeConfig(T=T, steps=steps)
-    traj, vals = schemes.scheme1_riccati(
-        lambda y: operators.R_op(tensor.TensorCoeffs(2, 2, y), spec).coeffs,
-        u0.coeffs,
-        cfg,
-    )
+    traj, vals = schemes.scheme1_riccati(spec.field.riccati.apply, u0.coeffs, cfg)
     # Levy: sech(lam t/2) exp(-|gamma|^2 tanh(lam t/2)/lam), at lam = 0 its limit
     g2 = gamma1**2 + gamma2**2
     refs = [
@@ -316,6 +332,7 @@ def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):
     report.add_check("deviation from Levy's closed form", worst, 1e-6)
     report.add_check("grid rows without a value", steps + 1 - len(traj.times), 0)
     report.extra["field"] = spec.field.sizes()
+    report.extra["integrator"] = traj.stats
     rows = [
         [t, v.real, v.imag, traj.status] for t, v in zip(traj.times, vals)
     ]
@@ -343,10 +360,10 @@ def _lognormal_word(n: int, sigma: float, s0: float, T: float) -> float:
 
 
 @main.command("expected-sig")
-@click.option("--sigma", type=float, default=0.2, show_default=True)
-@click.option("--s0", type=float, default=1.0, show_default=True)
+@click.option("--sigma", type=_FINITE, default=0.2, show_default=True)
+@click.option("--s0", type=_FINITE, default=1.0, show_default=True)
 @click.option("--level", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--t", "--T", "T", type=click.FloatRange(min=0), default=1.0, show_default=True)
+@click.option("--t", "--T", "T", type=_NONNEGATIVE, default=1.0, show_default=True)
 @click.option("--out", type=str, default="expected_sig", show_default=True)
 @click.option("--check", is_flag=True)
 def cmd_expected_sig(sigma, s0, level, T, out, check):

@@ -119,6 +119,9 @@ def black_scholes_spec(sigma: float, s0: float, N: int) -> SdeSpec:
     )
 
 
+_ONE = np.ones(1)  # the trailing 1 that linear terms read
+
+
 class _Terms:
     """Monomials m c z_p z_q adding to output word k: an integer multiplicity
     m times a model coefficient c, on z = s u, the state scaled by integer
@@ -161,9 +164,12 @@ class _Terms:
             raise ValueError(f"mismatched truncations {len(self._scale) - 2} vs {len(y) - 1}")
         if y.dtype == object:
             return self._apply_exact(y)
-        ue = np.append(y, 1.0)
+        ue = np.concatenate((y, _ONE))
+        sums = np.add.reduceat(self.w * ue[self.p] * ue[self.q], self.starts)
+        if len(self.rows) == len(y):  # every row has a term
+            return sums
         out = np.zeros(len(y), dtype=np.result_type(self.w, y))
-        out[self.rows] = np.add.reduceat(self.w * ue[self.p] * ue[self.q], self.starts)
+        out[self.rows] = sums
         return out
 
     def _apply_exact(self, y: np.ndarray) -> np.ndarray:

@@ -59,25 +59,22 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Time grid, per-time coefficient states/values, and an explosion flag."""
+    """Time grid, per-time coefficient states/values, and an explosion flag.
+
+    Route 1 fills ``stats``: RK4 steps taken, RHS evaluations, the largest
+    |entry| of the states kept, and why the run stopped ("completed",
+    "non-finite state" or "non-finite value")."""
 
     times: np.ndarray
     states: list
     status: str  # "completed" or "exploded"
     explosion_time: float | None = None
+    stats: dict | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.status not in ("completed", "exploded"):
             raise ValueError(f"unknown status {self.status!r}")
-
-
-def _rk4_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def ode_integrate(
@@ -86,27 +83,50 @@ def ode_integrate(
     cfg: SchemeConfig,
 ) -> Trajectory:
     """Fixed-step RK4 that stops, flagging explosion, at the first step whose
-    state is not finite.  Large finite states are integrated as they are."""
-    y = np.asarray(y0, dtype=np.complex128).copy()
+    state is not finite.  Large finite states are integrated as they are.
+
+    Each new state is a fresh array, so only y0 is copied.  The trajectory's
+    ``stats`` counts the steps taken, the final non-finite one included."""
+    y = np.array(y0, dtype=np.complex128)
     h = cfg.T / cfg.steps
+    h2, h6 = 0.5 * h, h / 6.0
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     status = "completed"
     explosion_time = None
+    steps = cfg.steps
     with np.errstate(all="ignore"):
         for k in range(cfg.steps):
             t = k * h
-            y_new = _rk4_step(f, t, y, h)
-            if not np.all(np.isfinite(y_new)):
+            k1 = f(t, y)
+            k2 = f(t + h2, y + h2 * k1)
+            k3 = f(t + h2, y + h2 * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
                 status = "exploded"
                 explosion_time = t + h
+                steps = k + 1
                 break
-            y = y_new
             times.append(t + h)
-            states.append(y.copy())
+            states.append(y)
+    stats = {
+        "steps": steps,
+        "rhs_evals": 4 * steps,
+        "max_abs_state": _max_abs(states),
+        "stop": "completed" if status == "completed" else "non-finite state",
+    }
     return Trajectory(
-        times=np.array(times), states=states, status=status, explosion_time=explosion_time
+        times=np.array(times), states=states, status=status,
+        explosion_time=explosion_time, stats=stats,
     )
+
+
+def _max_abs(states: list) -> float:
+    """Largest |entry| of the states (0 for none), read 256 states at a time
+    so that no copy of the whole trajectory is held at once."""
+    return max((float(np.abs(np.array(states[i:i + 256])).max())
+                for i in range(0, len(states), 256)), default=0.0)
 
 
 def scheme1_riccati(
@@ -137,6 +157,8 @@ def scheme1_riccati(
             states=traj.states[:n],
             status="exploded",
             explosion_time=float(traj.times[n]),
+            stats={**traj.stats, "max_abs_state": _max_abs(traj.states[:n]),
+                   "stop": "non-finite value"},
         )
         values = values[:n]
     return traj, values

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 from sigcalc.montecarlo import SimConfig, _block_rng, _blocks
 from sigcalc.operators import L_op
 from sigcalc.powerseries import Model1D
+from sigcalc.schemes import Trajectory
 from sigcalc.tensor import TensorCoeffs, all_words, level_offsets, n_words, shuffle_word_pair, word_index
 
 
@@ -142,6 +143,39 @@ def tables_reference(d, N):
     out = {name: np.array(v, dtype=np.int64) for name, v in out.items()}
     out["sh_c"] = np.array(tri_c, dtype=np.float64)
     return out
+
+
+def ode_integrate_reference(f, y0, cfg):
+    """Fixed-step RK4 with one call per step: the loop ``ode_integrate``
+    inlines, kept to pin its bits (times, states, status, explosion time)."""
+
+    def rk4_step(t, y, h):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y = np.asarray(y0, dtype=np.complex128).copy()
+    h = cfg.T / cfg.steps
+    times = [0.0]
+    states = [y.copy()]
+    status = "completed"
+    explosion_time = None
+    with np.errstate(all="ignore"):
+        for k in range(cfg.steps):
+            t = k * h
+            y_new = rk4_step(t, y, h)
+            if not np.all(np.isfinite(y_new)):
+                status = "exploded"
+                explosion_time = t + h
+                break
+            y = y_new
+            times.append(t + h)
+            states.append(y.copy())
+    return Trajectory(
+        times=np.array(times), states=states, status=status, explosion_time=explosion_time
+    )
 
 
 def concat_exp(x):

@@ -261,10 +261,17 @@ def test_levy_area_characteristic_function(capsys):
             worst = max(worst, abs(v - 1.0 / math.cosh(lam * t / 2.0)))
     ok_closed = worst <= 1e-6
 
+    # Levy's joint transform of area and endpoint at the mixed points:
+    # sech(lam t/2) exp(-|gamma|^2 tanh(lam t/2)/lam)
+    worst_joint = 0.0
     ok_mc = True
     mc_detail = []
     for lam, gamma in ((1.0, (0.5, -0.3)), (2.0, (1.0, 0.5))):
-        _, vals = _levy_riccati_value(lam, gamma, T)
+        traj, vals = _levy_riccati_value(lam, gamma, T)
+        g2 = gamma[0] ** 2 + gamma[1] ** 2
+        for t, v in zip(traj.times, vals):
+            joint = math.exp(-g2 * math.tanh(lam * t / 2.0) / lam) / math.cosh(lam * t / 2.0)
+            worst_joint = max(worst_joint, abs(v - joint))
         ref = vals[-1]
         est = _levy_area_mc(lam, gamma, T, n_paths=1_000_000, steps=250, seed=11)
         ok_pt = est.within(ref, 3.0)
@@ -274,11 +281,14 @@ def test_levy_area_characteristic_function(capsys):
         )
 
     elapsed = time.monotonic() - t0
-    ok = ok_closed and ok_mc
-    detail = f"sech dev {worst:.2e} vs 1e-6; {'; '.join(mc_detail)}; {elapsed:.0f}s"
+    ok_joint = worst_joint <= 1e-6
+    ok = ok_closed and ok_joint and ok_mc
+    detail = (f"sech dev {worst:.2e} vs 1e-6; joint transform dev {worst_joint:.2e} vs 1e-6; "
+              f"{'; '.join(mc_detail)}; {elapsed:.0f}s")
     _report(capsys, "4 signed-area char. function", ok, detail)
     _budget(capsys, "4 signed-area char. function", elapsed, 120.0)
     assert ok_closed, f"deviation from 1/cosh closed form {worst:.3e} exceeds 1e-6"
+    assert ok_joint, f"deviation from Levy's joint transform {worst_joint:.3e} exceeds 1e-6"
     assert ok_mc, "mixed-argument characteristic function outside 3 standard errors"
 
 

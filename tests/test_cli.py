@@ -84,6 +84,29 @@ def test_bm_quartic_small(runner, tmp_path):
     assert "explosion_times" in report
 
 
+@pytest.mark.parametrize(
+    "args,paths",
+    [
+        (["levy-area", "--steps", "200"], [["integrator"]]),
+        (["gbm-laplace", "--T", "0.4", "--steps", "200"],
+         [["integrator", "monomial_basis"], ["integrator", "factorial_basis"]]),
+        (["bm-quartic", "--N", "20", "--M", "20", "--riccati-k", "10"], [["riccati_integrator", "10"]]),
+    ],
+)
+def test_route1_runs_report_their_integrator(runner, tmp_path, args, paths):
+    stem = tmp_path / "run"
+    result = runner.invoke(main, [*args, "--out", str(stem)])
+    assert result.exit_code == 0, result.output
+    steps = 1000 if args[0] == "bm-quartic" else 200  # the direct ODE's max(1000, 10 N)
+    for path in paths:
+        stats = read_report(stem)
+        for key in path:
+            stats = stats[key]
+        assert stats == {"steps": steps, "rhs_evals": 4 * steps,
+                         "max_abs_state": stats["max_abs_state"], "stop": "completed"}
+        assert 0 < stats["max_abs_state"] < math.inf
+
+
 def test_jacobi_mgf(runner, tmp_path):
     stem = tmp_path / "jac"
     result = runner.invoke(
@@ -326,6 +349,14 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
         (["algebra", "exp", "--a", "a.txt", "--N", "-1"], "'--N'"),
         (["algebra", "shuffle", "--a", "a.txt", "--b", "b.txt", "--N", "-1"], "'--N'"),
         (["algebra", "exp", "--a", "a.txt", "--d", "0"], "'--d'"),
+        # float options take finite numbers only
+        (["gbm-laplace", "--T", "inf"], "'--T'"),
+        (["gbm-laplace", "--c", "nan", "--check"], "'--c'"),
+        (["bm-quartic", "--T", "nan"], "'--T'"),
+        (["expected-sig", "--sigma", "nan"], "'--sigma'"),
+        (["jacobi-mgf", "--cmax", "inf"], "'--cmax'"),
+        (["levy-area", "--T", "nan"], "'--T'"),
+        (["levy-area", "--lambda", "-inf"], "'--lambda'"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, args, option):

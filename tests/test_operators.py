@@ -18,7 +18,7 @@ from sigcalc.operators import (
     poly_from_affine,
 )
 from sigcalc.tensor import TensorCoeffs, all_words
-from sigcalc import schemes
+from sigcalc import powerseries, schemes
 
 from conftest import L_reference, R_reference, concat_exp, linear_to_riccati, random_tensor
 
@@ -253,3 +253,60 @@ def test_linear_to_riccati_roundtrip(rng):
     assert traj.status == "completed"
     err = np.max(np.abs(psi_traj[-1].coeffs - traj.states[-1]))
     assert err < 1e-6
+
+
+# -- one evaluation of the compiled field ------------------------------------------
+
+FIELDS = {
+    "brownian-d2-N2": lambda: brownian_spec(2, 2).field,
+    "brownian-d3-N4": lambda: brownian_spec(3, 4).field,
+    "brownian-d1-K20": lambda: brownian_spec(1, 20).field,
+    "black-scholes-N3": lambda: black_scholes_spec(0.3, 1.5, 3).field,
+    "scalar-brownian-K20": lambda: powerseries.brownian_model(20).field,
+    "scalar-brownian-K40": lambda: powerseries.brownian_model(40).field,
+    "scalar-jacobi-K8": lambda: powerseries.jacobi_model(8).field,
+}
+
+
+@pytest.mark.parametrize("name", ["brownian-d2-N2", "black-scholes-N3", "scalar-jacobi-K8"])
+def test_terms_apply_zero_fills_rows_without_a_term(name, rng):
+    # L reaches no row of the top level (tensor) or of degree 0 (Jacobi)
+    field = FIELDS[name]()
+    terms, G = field.linear, field.matrix()
+    assert len(terms.rows) < field.size
+    missing = np.setdiff1d(np.arange(field.size), terms.rows)
+    for y in (rng.normal(size=field.size), rng.normal(size=field.size) + 1j * rng.normal(size=field.size)):
+        got = terms.apply(y)
+        scale = np.abs(G).sum(axis=1).max() * np.abs(y).max()
+        assert np.abs(got - G @ y).max() <= 1e-14 * scale
+        assert np.all(got[missing] == 0)
+
+
+def test_terms_apply_keeps_the_state_dtype(rng):
+    # real models, on both paths: Brownian R reaches every row, the other
+    # term sets leave rows without a term
+    paths = set()
+    for name in ("brownian-d2-N2", "black-scholes-N3", "scalar-jacobi-K8"):
+        field = FIELDS[name]()
+        for terms in (field.linear, field.riccati):
+            paths.add(len(terms.rows) == field.size)
+            y = rng.normal(size=field.size)
+            assert terms.apply(y).dtype == np.float64
+            assert terms.apply(y + 1j * rng.normal(size=field.size)).dtype == np.complex128
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize(
+    "name", ["brownian-d2-N2", "brownian-d3-N4", "brownian-d1-K20", "scalar-brownian-K20",
+             "scalar-brownian-K40"],
+)
+def test_terms_apply_full_rows_returns_a_new_array(name, rng):
+    # the fields route 1 runs on: R has a term in every row, so its sums are
+    # returned as they are; they must not alias the state or the weights
+    field = FIELDS[name]()
+    terms = field.riccati
+    assert len(terms.rows) == field.size
+    y = rng.normal(size=field.size) + 1j * rng.normal(size=field.size)
+    out = terms.apply(y)
+    assert out.shape == y.shape
+    assert not np.shares_memory(out, y) and not np.shares_memory(out, terms.w)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import delta, quartic_blowup_reference
+from conftest import delta, ode_integrate_reference, quartic_blowup_reference
 from sigcalc import operators, powerseries, tensor
 from sigcalc.powerseries import R_pow, brownian_model, to_factorial_basis
 from sigcalc.schemes import (
@@ -59,6 +59,97 @@ def test_ode_runs_through_large_finite_values():
     assert traj.status == "completed" and traj.explosion_time is None
     assert traj.times[-1] == pytest.approx(30.0)
     assert abs(traj.states[-1][0] / math.exp(30.0) - 1.0) < 1e-6
+
+
+def _route1_case(name):
+    """(f, y0, cfg) of a route-1 solve the CLI or the tests run."""
+    cfg = SchemeConfig(T=1.0, steps=1000)
+    if name == "levy-d2-N2":  # complex state, both letters' endpoints too
+        R = operators.brownian_spec(2, 2).field.riccati.apply
+        u0 = tensor.TensorCoeffs(2, 2)
+        u0[(2, 1)], u0[(1, 2)] = 1.5j, -1.5j
+        u0[(1,)], u0[(2,)] = 1.2j, 0.5j
+        return (lambda _t, y: R(y)), u0.coeffs, cfg
+    if name == "factorial-d1-K20":
+        R = operators.brownian_spec(1, 20).field.riccati.apply
+        u0 = to_factorial_basis(powerseries.gbm_laplace_initial(1.0, 1.0, 20))
+        return (lambda _t, y: R(y)), u0, cfg
+    if name == "quartic-K40":  # blows up at t = 0.511
+        R = brownian_R(40)
+        return (lambda _t, y: R(y)), powerseries.quartic_initial(40), cfg
+    # t y reads the stage times; h = 1.3/97 is not a binary fraction
+    return (lambda t, y: t * y), np.array([1.0 + 0.5j, -2.0]), SchemeConfig(T=1.3, steps=97)
+
+
+@pytest.mark.parametrize("case", ["levy-d2-N2", "factorial-d1-K20", "quartic-K40", "t-times-y"])
+def test_ode_integrate_matches_the_reference_loop_bit_for_bit(case):
+    f, y0, cfg = _route1_case(case)
+    got, ref = ode_integrate(f, y0, cfg), ode_integrate_reference(f, y0, cfg)
+    assert np.array_equal(got.times, ref.times)
+    assert len(got.states) == len(ref.states)
+    assert np.array_equal(np.array(got.states), np.array(ref.states))
+    assert (got.status, got.explosion_time) == (ref.status, ref.explosion_time)
+    if case == "quartic-K40":
+        assert ref.status == "exploded" and ref.explosion_time < cfg.T
+
+
+def test_ode_integrate_copies_only_the_initial_state():
+    y0 = np.array([1.0 + 0j, 2.0])
+    traj = ode_integrate(lambda t, y: -y, y0, SchemeConfig(T=1.0, steps=3))
+    assert not np.shares_memory(traj.states[0], y0)
+    assert len({id(s) for s in traj.states}) == 4  # no state aliases another
+
+
+# -- route 1's integrator record ---------------------------------------------------
+
+
+def test_route1_stats_steps():
+    # every step taken, the one that produced the non-finite state included
+    done = ode_integrate(lambda t, y: y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=200))
+    assert done.stats["steps"] == 200
+    cfg = SchemeConfig(T=2.0, steps=4000)
+    blown = ode_integrate(lambda t, y: y * y, np.array([1.0 + 0j]), cfg)
+    assert blown.stats["steps"] == len(blown.times)
+    h = cfg.T / cfg.steps
+    assert blown.explosion_time == (blown.stats["steps"] - 1) * h + h
+
+
+@pytest.mark.parametrize("rhs", ["linear", "riccati"])
+def test_route1_stats_rhs_evals(rhs):
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return y if rhs == "linear" else y * y
+
+    traj = ode_integrate(f, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=400))
+    assert traj.stats["rhs_evals"] == len(calls) == 4 * traj.stats["steps"]
+
+
+def test_route1_stats_max_abs_state():
+    # y' = y from (1, -3): the largest entry is |-3 e^T| at the last state
+    traj = ode_integrate(lambda t, y: y, np.array([1.0 + 0j, -3.0]), SchemeConfig(T=1.0, steps=100))
+    assert traj.stats["max_abs_state"] == abs(traj.states[-1][1])
+    # route 1 keeps only the states with a finite value, and so does the record
+    K, cfg = 40, SchemeConfig(T=1.0, steps=1000)
+    cut, _ = scheme1_riccati(brownian_R(K), powerseries.quartic_initial(K), cfg)
+    assert cut.stats["max_abs_state"] == max(float(np.abs(s).max()) for s in cut.states)
+    raw = ode_integrate(lambda _t, y: brownian_R(K)(y), powerseries.quartic_initial(K), cfg)
+    assert cut.stats["max_abs_state"] < raw.stats["max_abs_state"]
+
+
+def test_route1_stats_stop():
+    done = ode_integrate(lambda t, y: y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=200))
+    assert done.stats["stop"] == "completed"
+    blown = ode_integrate(lambda t, y: y * y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=4000))
+    assert blown.stats["stop"] == "non-finite state"
+    # the quartic at K=40: exp(u_0) overflows while the state is still finite
+    K = 40
+    cfg = SchemeConfig(T=1.0, steps=1000)
+    traj, _ = scheme1_riccati(brownian_R(K), powerseries.quartic_initial(K), cfg)
+    assert traj.status == "exploded" and traj.stats["stop"] == "non-finite value"
+    raw = ode_integrate(lambda _t, y: brownian_R(K)(y), powerseries.quartic_initial(K), cfg)
+    assert traj.explosion_time < raw.explosion_time
 
 
 # -- matrix exponential ----------------------------------------------------------
