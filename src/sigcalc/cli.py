@@ -204,6 +204,7 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
         col = [v.real for v in vals] + [float("nan")] * (N + 1 - len(vals))
         columns[m_count] = col
         explosion[m_count] = traj.explosion_time if traj.status == "exploded" else None
+        report.extra.setdefault("transport_integrator", {})[str(m_count)] = traj.stats
         rel = 0.0
         for v, r in zip(vals, refs):
             rel = max(rel, abs(v.real - r) / abs(r))

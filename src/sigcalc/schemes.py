@@ -63,7 +63,11 @@ class Trajectory:
 
     Route 1 fills ``stats``: RK4 steps taken, RHS evaluations, the largest
     |entry| of the states kept, and why the run stopped ("completed",
-    "non-finite state" or "non-finite value")."""
+    "non-finite state" or "non-finite value").  Route 2 fills it with the
+    half-steps taken, RHS evaluations and why it stopped ("completed",
+    "magnitude cut", "smoothness test" or "non-finite value"), and at
+    lam > 1 with the decimal digits used and the n log10(2 lam - 1) digits
+    the mixture is predicted to cancel."""
 
     times: np.ndarray
     states: list
@@ -196,39 +200,57 @@ def scheme2_transport(
     soon as its half-step lands, and no half-step is taken past the cut.
     """
     lam = cfg.transport_lambda
-    transport = _transport_values_dec if lam > 1.0 + 1e-12 else _transport_values_f64
+    evals = 0
+
+    def counted_R(u):
+        nonlocal evals
+        evals += 1
+        return R_fn(u)
+
+    if lam > 1.0 + 1e-12:
+        cancel = cfg.N * math.log10(2.0 * lam - 1.0)
+        dps = max(30, int(math.ceil(cancel)) + 30)
+        values_iter = _transport_values_dec(counted_R, u0, cfg, dps)
+        precision = {"dps": dps, "predicted_cancellation_digits": cancel}
+    else:
+        values_iter = _transport_values_f64(counted_R, u0, cfg)
+        precision = {}
     times = cfg.T * np.arange(cfg.N + 1) / cfg.N
     values = []
-    status = "completed"
-    explosion_time = None
-    for n, v in enumerate(transport(R_fn, u0, cfg)):
+    stop = None
+    for n, v in enumerate(values_iter):
         v = np.complex128(v)
-        if _transport_cut(v, values):
-            status = "exploded"
-            explosion_time = float(times[n])
+        stop = _transport_cut(v, values)
+        if stop:
             break
         values.append(v)
-    times = times[: len(values)]
-    values = np.array(values, dtype=np.complex128)
+    exploded = stop is not None
     traj = Trajectory(
-        times=times,
-        states=list(values),
-        status=status,
-        explosion_time=explosion_time,
+        times=times[: len(values)],
+        states=values,
+        status="exploded" if exploded else "completed",
+        explosion_time=float(times[n]) if exploded else None,
+        stats={"half_steps": n, "rhs_evals": evals,
+               "stop": stop or "completed", **precision},
     )
-    return traj, values
+    return traj, np.array(values, dtype=np.complex128)
 
 
-def _transport_cut(v: np.complex128, kept: list) -> bool:
-    """Route 2's explosion test of a grid value against the values kept."""
+def _transport_cut(v: np.complex128, kept: list) -> str | None:
+    """Route 2's explosion test of a grid value against the values kept:
+    the reason for a cut, or None."""
     with np.errstate(all="ignore"):
-        if not np.isfinite(v) or abs(v) > _TRANSPORT_VALUE_LIMIT:
-            return True
+        if not np.isfinite(v):
+            return "non-finite value"
+        if abs(v) > _TRANSPORT_VALUE_LIMIT:
+            return "magnitude cut"
         if len(kept) < 2:
-            return False
+            return None
         pred = 2.0 * kept[-1] - kept[-2]
         scale = max(1.0, abs(kept[-1]))
-        return bool(abs(v - pred) > _TRANSPORT_JUMP_FRACTION * scale)
+        if abs(v - pred) > _TRANSPORT_JUMP_FRACTION * scale:
+            return "smoothness test"
+        return None
 
 
 def _transport_values_f64(R_fn, u0, cfg: SchemeConfig) -> Iterator[complex]:
@@ -265,19 +287,18 @@ def _transport_values_f64(R_fn, u0, cfg: SchemeConfig) -> Iterator[complex]:
         )
 
 
-def _transport_values_dec(R_fn, u0, cfg: SchemeConfig) -> Iterator[complex]:
+def _transport_values_dec(R_fn, u0, cfg: SchemeConfig, dps: int) -> Iterator[complex]:
     """Transport mixture in decimal floating point for lam > 1, one grid
     value per half-step.
 
-    The working precision covers the mixture's cancellation with 30 digits
-    to spare; each mixture sum is taken 40 digits wider still and rounded
-    once, to double.  The context has the widest exponent range and returns
-    infinities and NaNs instead of raising, so an overflowing exp(u_0) is a
-    non-finite value for the explosion test.  It is entered per grid value,
-    never across a yield, so the caller's decimal context is left alone.
+    The working precision ``dps`` covers the mixture's cancellation with 30
+    digits to spare; each mixture sum is taken 40 digits wider still and
+    rounded once, to double.  The context has the widest exponent range and
+    returns infinities and NaNs instead of raising, so an overflowing exp(u_0)
+    is a non-finite value for the explosion test.  It is entered per grid
+    value, never across a yield, so the caller's decimal context is left
+    alone.
     """
-    lam = cfg.transport_lambda
-    dps = max(30, int(math.ceil(cfg.N * math.log10(2.0 * lam - 1.0))) + 30)
     u0 = np.asarray(u0, dtype=np.complex128)
     if np.any(u0.imag != 0.0):
         raise ValueError(

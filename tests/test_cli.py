@@ -3,8 +3,11 @@
 import json
 import logging
 import math
+import os
 import shlex
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,72 @@ def test_bm_quartic_small(runner, tmp_path):
     report = read_report(stem)
     assert report["passed"]
     assert "explosion_times" in report
+
+
+def test_bm_quartic_reports_its_transport_integrator(runner, tmp_path):
+    # at the defaults every transport column is cut by the smoothness test:
+    # M=80, 160 and 320 keep 68, 75 and 77 of the 81 grid values, and the
+    # value cut at grid point n took n half-steps, one R evaluation each
+    stem = tmp_path / "quartic"
+    result = runner.invoke(main, ["bm-quartic", "--out", str(stem)])
+    assert result.exit_code == 0, result.output
+    header, *rows = (tmp_path / "quartic.csv").read_text().splitlines()
+    columns = header.split(",")
+    record = read_report(stem)["transport_integrator"]
+    kept = {}
+    for m in ("80", "160", "320"):
+        col = columns.index(f"transport_M{m}")
+        kept[m] = sum(row.split(",")[col] != "nan" for row in rows)
+        stats = record[m]
+        assert stats["half_steps"] == stats["rhs_evals"] == kept[m]
+        assert stats["stop"] == "smoothness test"
+        if m == "80":  # lam = 1: the float mixture
+            assert "dps" not in stats
+        else:
+            lam = int(m) / 80
+            assert stats["predicted_cancellation_digits"] == 80 * math.log10(2 * lam - 1)
+            assert stats["dps"] == math.ceil(stats["predicted_cancellation_digits"]) + 30
+    assert kept == {"80": 68, "160": 75, "320": 77}
+
+
+def test_gbm_laplace_long_horizon_fails_its_checks_without_a_traceback(runner, tmp_path):
+    # the quadrature column converges at variance 100; the direct ODE blows
+    # up long before T = 100, which only the checks report
+    stem = tmp_path / "long"
+    result = runner.invoke(main, ["gbm-laplace", "--T", "100", "--out", str(stem)])
+    assert result.exit_code == 0, result.output
+    assert_artifacts(stem)
+    last = (tmp_path / "long.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "100.0" and abs(float(last[3]) - 0.4773232632016447) < 1e-12
+    result = runner.invoke(main, ["gbm-laplace", "--T", "100", "--out", str(stem), "--check"])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, RuntimeError)
+    assert "Traceback" not in result.output
+    assert result.output.strip().splitlines()[-1].startswith("Error: failed checks: ")
+
+
+def test_quadrature_runs_import_no_scipy(tmp_path):
+    # the Gaussian quadrature is numpy only: a fresh interpreter that runs
+    # gbm-laplace and bm-quartic holds no scipy module afterwards
+    code = textwrap.dedent("""
+        import sys
+        from sigcalc.cli import main
+        for args in (["gbm-laplace", "--T", "0.2", "--steps", "20", "--out", "g"],
+                     ["bm-quartic", "--T", "0.5", "--K", "20", "--N", "10",
+                      "--M", "10,20", "--riccati-k", "10", "--out", "q"]):
+            try:
+                main(args)
+            except SystemExit as exc:
+                assert exc.code == 0, (args, exc.code)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]", out.stdout + out.stderr
+    assert (tmp_path / "g.csv").exists() and (tmp_path / "q.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from sigcalc.montecarlo import (
     McEstimate,
     SimConfig,
     _chen_exp_step,
-    _hermite_rule,
+    _trapezoid_rule,
     estimate,
     gauss_hermite_expectation,
     simulate_sigsde,
@@ -191,19 +191,63 @@ def test_gauss_hermite_zero_variance():
     assert abs(gauss_hermite_expectation(lambda z: np.cos(z), 0.0) - 1.0) < 1e-14
 
 
-def test_hermite_rule_is_finite_at_every_doubling():
-    # gauss_hermite_expectation doubles its nodes 200 -> 3200; numpy's
-    # hermgauss returns non-finite weights from n = 400 on, so scipy's
-    # roots_hermite stays.  Its outermost weights (|x| > 27) underflow to
-    # exactly 0; every weight inside |x| < 25 is positive.
+def test_trapezoid_rule_is_exact_at_every_doubling():
+    # gauss_hermite_expectation halves its step 1/4 -> 1/64 (n_nodes 200 ->
+    # 3200): every node is an exact multiple of the power-of-two step, and
+    # only nodes whose weight underflows to 0 (|x| > 38.47) are left out
     for j in range(5):
-        n = 200 * 2**j
-        x, w = _hermite_rule(n)
-        assert x.shape == w.shape == (n,)
+        h = 2.0 ** -(2 + j)
+        x, w = _trapezoid_rule(h)
+        assert x.shape == w.shape and not x.flags.writeable and not w.flags.writeable
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
-        assert np.all(np.diff(x) > 0)
-        assert np.all(w >= 0.0) and np.all(w[np.abs(x) < 25.0] > 0.0)
-        assert abs(w.sum() - math.sqrt(math.pi)) < 1e-14
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.array_equal(x / h, np.arange(-(len(x) // 2), len(x) // 2 + 1))
+        assert 38.4 < x[-1] <= 38.5
+        assert np.all(w > 0.0)
+        beyond = x[-1] + h
+        assert beyond > 38.5 or math.exp(-0.5 * beyond * beyond) * h / math.sqrt(2 * math.pi) == 0.0
+        assert abs(w.sum() - 1.0) <= 1e-15
+
+
+def _normal_expectation_mp(g, variance, pieces):
+    """E[g(sqrt(variance) x)], x standard normal, by mpmath.quad at 30
+    digits over [-40, 40] cut into ``pieces`` intervals (the density is
+    below 1e-347 outside)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        s = mp.sqrt(variance)
+        val = mp.quad(
+            lambda x: g(s * x) * mp.exp(-x * x / 2), mp.linspace(-40, 40, pieces + 1)
+        ) / mp.sqrt(2 * mp.pi)
+        return float(val)
+
+
+def test_gaussian_expectation_against_mpmath():
+    # the paper's two examples: the quartic exponent at t <= 1 and the
+    # Laplace functional of exp(B_1)
+    import mpmath as mp
+
+    for t in (0.1, 0.5, 1.0):
+        got = gauss_hermite_expectation(lambda z: np.exp(-(z**4) / 24.0), t)
+        ref = _normal_expectation_mp(lambda z: mp.exp(-(z**4) / 24), t, 80)
+        assert abs(got - ref) <= 1e-15, t
+    for c in (0.25, 1.0, 2.25):
+        got = gauss_hermite_expectation(lambda z: np.exp(-c * np.exp(z)), 1.0)
+        ref = _normal_expectation_mp(lambda z: mp.exp(-c * mp.exp(z)), 1.0, 80)
+        assert abs(got - ref) <= 1e-15, c
+
+
+@pytest.mark.parametrize("variance", [40.0, 100.0])
+def test_gaussian_expectation_at_large_variance(variance):
+    # exp(-e^z) at variance 40 and up did not stabilize within the node
+    # budget of the Gauss-Hermite rule; the trapezoidal rule converges
+    import mpmath as mp
+
+    got = gauss_hermite_expectation(lambda z: np.exp(-np.exp(z)), variance)
+    ref = _normal_expectation_mp(lambda z: mp.exp(-mp.exp(z)), variance, 320)
+    assert got.imag == 0.0
+    assert abs(got - ref) <= 1e-12
 
 
 def test_gauss_hermite_vs_mc():

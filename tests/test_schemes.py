@@ -325,6 +325,23 @@ def test_scheme2_smoothness_detector():
     assert traj.explosion_time == pytest.approx(0.1)
     assert np.allclose(traj.times, [0.0, 0.05])
     assert np.allclose(vals, [math.e, math.exp(3.0)], rtol=1e-12)
+    assert traj.stats == {"half_steps": 2, "rhs_evals": 2, "stop": "smoothness test"}
+
+
+def test_scheme2_stats_completed_and_magnitude_cut():
+    # lam = 1 and R = 1: the value at t = n/20 is exp(u0 + n/20).  From
+    # u0 = 0 it stays smooth and small; from u0 = 22.9 it passes 1e10 at
+    # n = 3 (e^23.05) while every second difference stays below 1%
+    def R(y):
+        return np.ones_like(y)
+
+    cfg = SchemeConfig(T=1.0, N=20, M=20)
+    traj, _ = scheme2_transport(R, np.array([0.0 + 0j]), cfg)
+    assert traj.status == "completed"
+    assert traj.stats == {"half_steps": 20, "rhs_evals": 20, "stop": "completed"}
+    traj, vals = scheme2_transport(R, np.array([22.9 + 0j]), cfg)
+    assert traj.status == "exploded" and len(vals) == 3
+    assert traj.stats == {"half_steps": 3, "rhs_evals": 3, "stop": "magnitude cut"}
 
 
 def quartic_transport_referee(K, N, M, T):
@@ -432,6 +449,7 @@ def test_scheme2_stops_half_steps_at_the_cut(M):
     traj, _ = scheme2_transport(R, np.array([1.0 + 0j]), cfg)
     assert traj.status == "exploded"
     assert len(calls) == len(traj.times) < cfg.N
+    assert traj.stats["half_steps"] == traj.stats["rhs_evals"] == len(calls)
 
 
 def test_scheme2_decimal_path_rejects_complex_state():
@@ -454,6 +472,11 @@ def test_scheme2_decimal_exp_overflow_is_an_explosion():
     assert traj.status == "exploded"
     assert traj.explosion_time == pytest.approx(0.25)
     assert np.allclose(vals, [math.e], rtol=1e-15)
+    # the mixture's 4 log10(3) = 1.9 digits of cancellation, plus 30 to spare
+    assert traj.stats == {
+        "half_steps": 1, "rhs_evals": 1, "stop": "non-finite value",
+        "dps": 32, "predicted_cancellation_digits": 4 * math.log10(3.0),
+    }
 
 
 # -- scheme 3 -------------------------------------------------------------------
