@@ -21,6 +21,9 @@ acceptance:
 # timings and are not compared.
 RUNS = gbm_laplace bm_quartic jacobi_mgf levy_area expected_sig
 
+# The recipe runs from inside $(ARTIFACTS), so the checkout's src/ goes on
+# PYTHONPATH: an uninstalled checkout reproduces too.
+reproduce: export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 reproduce:
 	mkdir -p $(ARTIFACTS)
 	cd $(ARTIFACTS) && $(PYTHON) -m sigcalc.cli gbm-laplace --check --out gbm_laplace

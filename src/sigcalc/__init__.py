@@ -7,8 +7,6 @@ from .signature import PiecewisePath, path_signature, segment_signature, time_ex
 from .operators import (
     SdeSpec,
     R_op,
-    L_op,
-    poly_from_affine,
     linear_matrix,
     brownian_spec,
     black_scholes_spec,
@@ -17,7 +15,6 @@ from .operators import (
 from .powerseries import (
     Model1D,
     R_pow,
-    L_pow,
     exp_conv,
     linear_matrix_1d,
     to_factorial_basis,

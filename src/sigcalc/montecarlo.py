@@ -269,21 +269,14 @@ def _trapezoid_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def gauss_hermite_expectation(
-    f,
-    variance: float,
-    n_nodes: int = 200,
-    tol: float = 1e-10,
-    max_doublings: int = 4,
-) -> complex:
+def gauss_hermite_expectation(f, variance: float) -> complex:
     """E[f(Z)] for Z centered Gaussian with the given variance.
 
     The trapezoidal rule on Z = sqrt(variance) x, x standard normal, which
     converges exponentially for analytic integrands with Gaussian decay
-    (Trefethen and Weideman, SIAM Review 56, 2014).  ``n_nodes`` sets the
-    first step, the power of two h <= 50 / n_nodes (1/4 at the default 200);
-    h halves, up to ``max_doublings`` times, until two consecutive
-    evaluations agree to ``tol``.
+    (Trefethen and Weideman, SIAM Review 56, 2014).  The step starts at
+    h = 1/4 and halves, up to 4 times, until two consecutive evaluations
+    agree to 1e-10.
     """
     if variance < 0:
         raise ValueError("variance must be >= 0")
@@ -294,12 +287,12 @@ def gauss_hermite_expectation(
         x, w = _trapezoid_rule(h)
         return complex(np.sum(w * f(x * math.sqrt(variance))))
 
-    h = 2.0 ** math.floor(math.log2(50.0 / n_nodes))
+    h = 0.25
     prev = run(h)
-    for _ in range(max_doublings):
+    for _ in range(4):
         h /= 2.0
         cur = run(h)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < 1e-10:
             return cur
         prev = cur
     raise RuntimeError("quadrature did not stabilize within the node budget")

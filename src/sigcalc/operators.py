@@ -6,18 +6,21 @@ components b_i and a symmetric diffusion matrix a_ij, each a tensor
 coefficient vector.  The quadratic operator drives Riccati-type equations for
 exponential functionals; the linear operator drives the coefficient ODE for
 expectations of linear functionals.  The two are linked: the linear operator
-is recovered from the quadratic one through a two-point evaluation, and on
+is recovered from the quadratic one through a two-point evaluation,
+L(u) = lam/(lam-1) R(u) - 1/(lam (lam-1)) R(lam u) for lam not 0 or 1, and on
 shuffle exponentials L(exp u) = exp(u) sh R(u).
 
 Both operators are fixed sums of monomials in the coefficients, so each model
-is compiled once into a ``QuadraticField`` of ``_Terms`` index arrays: R, L,
-the linear matrix and the expected-signature generator all read that one
-field.  The scalar models of ``sigcalc.powerseries`` compile into the same
-field over the monomial basis, so both calculi share one evaluation, on
-float, complex and object (Decimal, mpf) states.  No right shift or shuffle
-of the state is taken at run time; the shift-and-shuffle formula is the
-tests' reference for the field.  A ``SdeSpec`` is immutable, with read-only
-characteristics, so the field it caches cannot go stale.
+is compiled once into a ``QuadraticField`` of ``_Terms`` index arrays: R
+(``R_op``, or ``spec.field.riccati.apply`` on the flat coefficients), L
+(``spec.field.linear.apply``), the linear matrix and the expected-signature
+generator all read that one field.  The scalar models of
+``sigcalc.powerseries`` compile into the same field over the monomial basis,
+so both calculi share one evaluation, on float, complex and object (Decimal,
+mpf) states.  No right shift or shuffle of the state is taken at run time;
+the shift-and-shuffle formula is the tests' reference for the field.  A
+``SdeSpec`` is immutable, with read-only characteristics, so the field it
+caches cannot go stale.
 """
 
 from __future__ import annotations
@@ -128,8 +131,10 @@ class _Terms:
     index weights s.  The state is read with a trailing 1, weight 1, so
     linear terms take q = size.
 
-    Float and complex states read the weights w = m c s_p s_q, merged per
-    (k, p <= q); the result has the dtype of w and the state together.
+    Float and complex states read the weights w = m c s_p s_q, rounded once
+    to float and merged per (k, p <= q); the result has the dtype of w and
+    the state together.  m stays exact: int64, or Python ints past 2^63 (at
+    d=1 the multiplicities are binomials, and C(67, 33) > 2^63).
     Object states (Decimal, mpf) read the terms per coefficient: only the
     products of nonzero entries are formed, m z_p z_q is summed per k in the
     state's precision and multiplied by c converted exactly into the state's
@@ -138,7 +143,8 @@ class _Terms:
     """
 
     def __init__(self, k, p, q, m, c, scale):
-        k, p, q, m = (np.asarray(x, dtype=np.int64) for x in (k, p, q, m))
+        k, p, q = (np.asarray(x, dtype=np.int64) for x in (k, p, q))
+        m = np.asarray(m)
         c = np.asarray(c, dtype=np.complex128)
         p, q = np.minimum(p, q), np.maximum(p, q)  # u_p u_q = u_q u_p
         order = np.lexsort((q, p, k))
@@ -152,7 +158,7 @@ class _Terms:
             z = complex(c[o[0]])  # a float when real: Decimal takes no complex
             self._groups.append((z if z.imag else z.real, k[o], p[o], q[o], m[o]))
         first = np.flatnonzero(np.diff(np.stack([k, p, q]), axis=1, prepend=-1).any(axis=0))
-        w = np.add.reduceat(c * (m * s[p] * s[q]), first)
+        w = np.add.reduceat(c * (m * s[p] * s[q]).astype(np.float64), first)
         self.k, self.p, self.q = k[first], p[first], q[first]
         self.w = w if w.imag.any() else w.real.copy()
         self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
@@ -273,35 +279,13 @@ def _tensor_terms(b: tuple, a: tuple, quadratic: bool) -> _Terms:
     return _Terms(*(zip(*terms) if terms else [()] * 5), np.ones(one))
 
 
-def _check_state(u: TensorCoeffs, spec: SdeSpec) -> None:
+def R_op(u: TensorCoeffs, spec: SdeSpec) -> TensorCoeffs:
+    """Quadratic operator b.u1 + (1/2) tr(a sh (u2 + u1 u1^T))."""
     if u.d != spec.d:
         raise ValueError("element and model disagree in dimension")
     if u.N != spec.N_alg:
         raise ValueError("element and characteristics disagree in truncation")
-
-
-def R_op(u: TensorCoeffs, spec: SdeSpec) -> TensorCoeffs:
-    """Quadratic operator b.u1 + (1/2) tr(a sh (u2 + u1 u1^T))."""
-    _check_state(u, spec)
     return TensorCoeffs(u.d, u.N, spec.field.riccati.apply(u.coeffs))
-
-
-def L_op(u: TensorCoeffs, spec: SdeSpec) -> TensorCoeffs:
-    """Linear operator b.u1 + (1/2) tr(a sh u2)."""
-    _check_state(u, spec)
-    return TensorCoeffs(u.d, u.N, spec.field.linear.apply(u.coeffs))
-
-
-def poly_from_affine(u: TensorCoeffs, spec: SdeSpec, lam: float = 2.0) -> TensorCoeffs:
-    """Recover the linear operator from two evaluations of the quadratic one.
-
-    L(u) = lam/(lam-1) R(u) - 1/(lam (lam-1)) R(lam u), any lam not in {0, 1}.
-    """
-    if lam in (0.0, 1.0):
-        raise ValueError("the mixing parameter must avoid 0 and 1")
-    return (lam / (lam - 1.0)) * R_op(u, spec) - (1.0 / (lam * (lam - 1.0))) * R_op(
-        u * lam, spec
-    )
 
 
 def linear_field(spec: SdeSpec, N: int) -> QuadraticField:

@@ -7,12 +7,13 @@ The product is the Cauchy convolution, derivatives act as index shifts with
 small integer weights (exact at any precision), and the quadratic/linear
 operators mirror their tensor-algebra counterparts.  Each ``Model1D`` is
 immutable and compiles once into the field ``SdeSpec`` compiles into, a
-``QuadraticField`` of ``_Terms``, here over the monomial basis: ``R_pow``,
-``L_pow`` and ``linear_matrix_1d`` read it as ``R_op``, ``L_op`` and
-``linear_matrix`` do, on float, complex and object states.  This
-is the only scalar basis here: the signature (factorial) basis,
-u_k -> k! u_k, is the d=1 case of ``sigcalc.tensor`` and
-``sigcalc.operators``, reached through ``to_factorial_basis``.
+``QuadraticField`` of ``_Terms``, here over the monomial basis: ``R_pow``
+(``model.field.riccati.apply``), L (``model.field.linear.apply``) and
+``linear_matrix_1d`` read it as their tensor counterparts do, on float,
+complex and object states.  This is the only scalar basis here: the
+signature (factorial) basis, u_k -> k! u_k, is the d=1 case of
+``sigcalc.tensor`` and ``sigcalc.operators``, reached through
+``to_factorial_basis``.
 """
 from __future__ import annotations
 
@@ -86,16 +87,6 @@ class Model1D:
     def field(self) -> QuadraticField:
         return QuadraticField(self.K + 1, partial(_scalar_terms, self.b, self.a))
 
-    def with_truncation(self, K: int) -> "Model1D":
-        """The model with b and a cut or zero-padded to degree K."""
-        return Model1D(
-            b=_poly(K, *self.b[: K + 1]),
-            a=_poly(K, *self.a[: K + 1]),
-            x0=self.x0,
-            name=self.name,
-            state_interval=self.state_interval,
-        )
-
 
 def _scalar_terms(b: np.ndarray, a: np.ndarray, quadratic: bool) -> _Terms:
     """R, or L without ``quadratic``, of the scalar model with drift b and
@@ -130,13 +121,9 @@ def _scalar_terms(b: np.ndarray, a: np.ndarray, quadratic: bool) -> _Terms:
 
 def R_pow(u: np.ndarray, m: Model1D) -> np.ndarray:
     """Quadratic operator in the monomial basis,
-    b conv u' + (1/2) a conv (u'' + u' conv u'), read from the model's field."""
+    b conv u' + (1/2) a conv (u'' + u' conv u'), read from the model's field;
+    its linear part b conv u' + (1/2) a conv u'' is ``m.field.linear.apply``."""
     return m.field.riccati.apply(u)
-
-
-def L_pow(u: np.ndarray, m: Model1D) -> np.ndarray:
-    """Linear operator in the monomial basis: b conv u' + (1/2) a conv u''."""
-    return m.field.linear.apply(u)
 
 
 def exp_conv(u: np.ndarray) -> np.ndarray:
@@ -152,12 +139,12 @@ def exp_conv(u: np.ndarray) -> np.ndarray:
     return acc * np.exp(scalar)
 
 
-def linear_matrix_1d(m: Model1D, K: int) -> np.ndarray:
-    """Matrix of the linear operator on monomials 1, x, ..., x^K.
+def linear_matrix_1d(m: Model1D) -> np.ndarray:
+    """Matrix of the linear operator on monomials 1, x, ..., x^K, K = m.K.
 
-    Column j holds the coefficients of L_pow applied to x^j.
+    Column j holds the coefficients of L applied to x^j.
     """
-    return (m if m.K == K else m.with_truncation(K)).field.matrix()
+    return m.field.matrix()
 
 
 # -- stock models ------------------------------------------------------------

@@ -31,10 +31,9 @@ def write_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 440,
 ) -> None:
     """Minimal polyline plot: axes box, ticks, legend, one polyline per series."""
+    width, height = 720, 440
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
     xs = [x for _, sx, _ in series for x in sx]
@@ -127,16 +126,10 @@ class RunReport:
     extra: dict = field(default_factory=dict)
     _t0: float = field(default_factory=time.perf_counter)
 
-    def add_check(self, name: str, value: float, tol: float, reference=None) -> bool:
+    def add_check(self, name: str, value: float, tol: float) -> bool:
         ok = bool(value <= tol)
         self.checks.append(
-            {
-                "name": name,
-                "value": float(value),
-                "tolerance": float(tol),
-                "reference": reference,
-                "pass": ok,
-            }
+            {"name": name, "value": float(value), "tolerance": float(tol), "pass": ok}
         )
         return ok
 

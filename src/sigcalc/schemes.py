@@ -59,7 +59,8 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Time grid, per-time coefficient states/values, and an explosion flag.
+    """Time grid, per-time coefficient states/values, and the explosion time
+    (None when the run completed).
 
     Route 1 fills ``stats``: RK4 steps taken, RHS evaluations, the largest
     |entry| of the states kept, and why the run stopped ("completed",
@@ -71,14 +72,12 @@ class Trajectory:
 
     times: np.ndarray
     states: list
-    status: str  # "completed" or "exploded"
     explosion_time: float | None = None
     stats: dict | None = None
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.status not in ("completed", "exploded"):
-            raise ValueError(f"unknown status {self.status!r}")
+    @property
+    def status(self) -> str:
+        return "completed" if self.explosion_time is None else "exploded"
 
 
 def ode_integrate(
@@ -96,7 +95,6 @@ def ode_integrate(
     h2, h6 = 0.5 * h, h / 6.0
     times = [0.0]
     states = [y]
-    status = "completed"
     explosion_time = None
     steps = cfg.steps
     with np.errstate(all="ignore"):
@@ -108,7 +106,6 @@ def ode_integrate(
             k4 = f(t + h, y + h * k3)
             y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
-                status = "exploded"
                 explosion_time = t + h
                 steps = k + 1
                 break
@@ -118,11 +115,10 @@ def ode_integrate(
         "steps": steps,
         "rhs_evals": 4 * steps,
         "max_abs_state": _max_abs(states),
-        "stop": "completed" if status == "completed" else "non-finite state",
+        "stop": "completed" if explosion_time is None else "non-finite state",
     }
     return Trajectory(
-        times=np.array(times), states=states, status=status,
-        explosion_time=explosion_time, stats=stats,
+        times=np.array(times), states=states, explosion_time=explosion_time, stats=stats
     )
 
 
@@ -159,7 +155,6 @@ def scheme1_riccati(
         traj = Trajectory(
             times=traj.times[:n],
             states=traj.states[:n],
-            status="exploded",
             explosion_time=float(traj.times[n]),
             stats={**traj.stats, "max_abs_state": _max_abs(traj.states[:n]),
                    "stop": "non-finite value"},
@@ -188,9 +183,10 @@ def scheme2_transport(
     is enough to destroy the cancellation).  On that path the state must be
     real (``decimal`` has no complex type; a complex state raises
     ValueError), and R_fn receives an object array of Decimals and must
-    return one of exact scalars, int or Decimal: R_pow does, its field (R_op's)
-    taking and returning the object array; R_op does not (TensorCoeffs holds
-    complex128), and a float, as operand or result, raises TypeError.
+    return one of exact scalars, int or Decimal.  A compiled field does:
+    ``R_pow`` for scalar models, and ``spec.field.riccati.apply`` for tensor
+    models, which is the lam > 1 entry there (``R_op`` is not: TensorCoeffs
+    holds complex128).  A float, as operand or result, raises TypeError.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value
@@ -224,12 +220,10 @@ def scheme2_transport(
         if stop:
             break
         values.append(v)
-    exploded = stop is not None
     traj = Trajectory(
         times=times[: len(values)],
         states=values,
-        status="exploded" if exploded else "completed",
-        explosion_time=float(times[n]) if exploded else None,
+        explosion_time=float(times[n]) if stop else None,
         stats={"half_steps": n, "rhs_evals": evals,
                "stop": stop or "completed", **precision},
     )

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from sigcalc.montecarlo import SimConfig, _block_rng, _blocks
-from sigcalc.operators import L_op
 from sigcalc.powerseries import Model1D
 from sigcalc.schemes import Trajectory
 from sigcalc.tensor import TensorCoeffs, all_words, level_offsets, n_words, shuffle_word_pair, word_index
@@ -147,7 +146,7 @@ def tables_reference(d, N):
 
 def ode_integrate_reference(f, y0, cfg):
     """Fixed-step RK4 with one call per step: the loop ``ode_integrate``
-    inlines, kept to pin its bits (times, states, status, explosion time)."""
+    inlines, kept to pin its bits (times, states, explosion time)."""
 
     def rk4_step(t, y, h):
         k1 = f(t, y)
@@ -160,22 +159,18 @@ def ode_integrate_reference(f, y0, cfg):
     h = cfg.T / cfg.steps
     times = [0.0]
     states = [y.copy()]
-    status = "completed"
     explosion_time = None
     with np.errstate(all="ignore"):
         for k in range(cfg.steps):
             t = k * h
             y_new = rk4_step(t, y, h)
             if not np.all(np.isfinite(y_new)):
-                status = "exploded"
                 explosion_time = t + h
                 break
             y = y_new
             times.append(t + h)
             states.append(y.copy())
-    return Trajectory(
-        times=np.array(times), states=states, status=status, explosion_time=explosion_time
-    )
+    return Trajectory(times=np.array(times), states=states, explosion_time=explosion_time)
 
 
 def concat_exp(x):
@@ -298,7 +293,7 @@ def linear_to_riccati(times, c_states, u0, spec):
     the integral taken by the trapezoidal rule on ``times``.
     """
     times = np.asarray(times, dtype=np.float64)
-    integrand = np.array([L_op(c, spec).coeffs[0] / c.coeffs[0] for c in c_states])
+    integrand = np.array([spec.field.linear.apply(c.coeffs)[0] / c.coeffs[0] for c in c_states])
     psi0 = u0.coeffs[0] + np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))]
     )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sigcalc import operators, powerseries, schemes
 from sigcalc.cli import main
 from sigcalc.report import RunReport, write_csv, write_svg
 from sigcalc.tensor import TensorCoeffs
@@ -61,6 +62,47 @@ def test_gbm_laplace_check_counts_rows_without_a_value(runner, tmp_path):
     assert checks["grid rows without a value"]["value"] == 1
     assert not checks["grid rows without a value"]["pass"]
     assert all(math.isfinite(c["value"]) for c in checks.values())
+
+
+def test_gbm_laplace_rows_sit_on_the_step_grid(runner, tmp_path):
+    # with steps of 0.15 only every third multiple of 0.05 is a step time;
+    # each row holds the value of both bases at its own t
+    T, steps, K = 0.6, 4, 8
+    stem = tmp_path / "coarse"
+    result = runner.invoke(
+        main,
+        ["gbm-laplace", "--T", str(T), "--steps", str(steps), "--K", str(K), "--out", str(stem)],
+    )
+    assert result.exit_code == 0, result.output
+    cfg = schemes.SchemeConfig(T=T, steps=steps)
+    u0 = powerseries.gbm_laplace_initial(1.0, 1.0, K)
+    model = powerseries.brownian_model(K)
+    _, mono = schemes.scheme1_riccati(lambda y: powerseries.R_pow(y, model), u0, cfg)
+    _, fact = schemes.scheme1_riccati(
+        operators.brownian_spec(1, K).field.riccati.apply, powerseries.to_factorial_basis(u0), cfg
+    )
+    rows = (tmp_path / "coarse.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        t, v1, v2 = (float(x) for x in row.split(",")[:3])
+        k = t * steps / T
+        assert abs(k - round(k)) <= 1e-9
+        assert (v1, v2) == (mono[round(k)].real, fact[round(k)].real)
+
+
+def test_gbm_laplace_at_the_top_truncation_runs_to_the_end(runner, tmp_path):
+    # at K=170 the d=1 shuffle multiplicities pass 2^63 (C(67, 33) already
+    # does); they stay exact and the run writes its artifacts.  Its direct
+    # ODE blows up before T=1, so --check fails on the rows without a value
+    # and on nothing else
+    stem = tmp_path / "top"
+    result = runner.invoke(main, ["gbm-laplace", "--K", "170", "--out", str(stem), "--check"])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines()[-1] == "Error: failed checks: grid rows without a value"
+    assert_artifacts(stem)
+    assert [c["name"] for c in read_report(stem)["checks"] if not c["pass"]] == [
+        "grid rows without a value"
+    ]
 
 
 def test_bm_quartic_small(runner, tmp_path):

@@ -192,8 +192,8 @@ def test_gauss_hermite_zero_variance():
 
 
 def test_trapezoid_rule_is_exact_at_every_doubling():
-    # gauss_hermite_expectation halves its step 1/4 -> 1/64 (n_nodes 200 ->
-    # 3200): every node is an exact multiple of the power-of-two step, and
+    # gauss_hermite_expectation halves its step 1/4 -> 1/64, up to 4 times:
+    # every node is an exact multiple of the power-of-two step, and
     # only nodes whose weight underflows to 0 (|x| > 38.47) are left out
     for j in range(5):
         h = 2.0 ** -(2 + j)

@@ -8,14 +8,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sigcalc.operators import (
-    L_op,
     R_op,
     SdeSpec,
     black_scholes_spec,
     brownian_spec,
     expected_signature_matrix,
     linear_matrix,
-    poly_from_affine,
 )
 from sigcalc.tensor import TensorCoeffs, all_words
 from sigcalc import powerseries, schemes
@@ -63,7 +61,7 @@ def test_R_and_L_vanish_at_level_zero(rng):
     spec = random_spec(rng, 2, 0)
     u = random_tensor(rng, 2, 0)
     assert not R_op(u, spec).coeffs.any()
-    assert not L_op(u, spec).coeffs.any()
+    assert not spec.field.linear.apply(u.coeffs).any()
 
 
 def test_spec_characteristics_are_read_only(rng):
@@ -109,7 +107,7 @@ def test_L_exp_identity(rng):
     spec = random_spec(rng, d, N, level_cap=2)
     for _ in range(20):
         u = random_tensor(rng, d, N, scale=0.4, zero_scalar=True)
-        lhs = L_op(u.shuffle_exp(), spec)
+        lhs = TensorCoeffs(d, N, spec.field.linear.apply(u.shuffle_exp().coeffs))
         rhs = u.shuffle_exp().shuffle(R_op(u, spec))
         assert lhs.with_truncation(N - 2).allclose(
             rhs.with_truncation(N - 2), tol=1e-9
@@ -127,8 +125,9 @@ def test_field_matches_reference(d, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     spec = random_spec(rng, d, N, level_cap=cap)
     u = random_tensor(rng, d, N)
-    for op, ref in ((R_op, R_reference), (L_op, L_reference)):
-        got, want = op(u, spec).coeffs, ref(u, spec).coeffs
+    for got, ref in ((R_op(u, spec).coeffs, R_reference),
+                     (spec.field.linear.apply(u.coeffs), L_reference)):
+        want = ref(u, spec).coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 
     # linear_matrix columns are L on the basis words
@@ -147,20 +146,24 @@ def test_field_matches_reference(d, data):
     if N >= 2:
         v = random_tensor(rng, d, N, scale=0.4, zero_scalar=True)
         g = v.shuffle_exp()
-        lhs = L_op(g, spec).with_truncation(N - 2).coeffs
+        lhs = TensorCoeffs(d, N, spec.field.linear.apply(g.coeffs)).with_truncation(N - 2).coeffs
         rhs = g.shuffle(R_op(v, spec)).with_truncation(N - 2).coeffs
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs), initial=1.0)
 
 
 def test_poly_from_affine_recovers_L(rng):
-    # the two-point affine combination of R reproduces L for any lam
+    # the two-point affine combination of R reproduces L for any lam not 0
+    # or 1: L(u) = lam/(lam-1) R(u) - 1/(lam (lam-1)) R(lam u)
     d, N = 2, 4
     spec = random_spec(rng, d, N, level_cap=2)
     for _ in range(10):
         u = random_tensor(rng, d, N)
         L_ref = L_reference(u, spec)
         for lam in (2.0, 3.5, -1.5):
-            assert poly_from_affine(u, spec, lam=lam).allclose(L_ref, tol=1e-9)
+            got = (lam / (lam - 1.0)) * R_op(u, spec) - (1.0 / (lam * (lam - 1.0))) * R_op(
+                u * lam, spec
+            )
+            assert got.allclose(L_ref, tol=1e-9)
 
 
 def test_linear_matrix_columns(rng):
@@ -177,6 +180,14 @@ def test_linear_matrix_columns(rng):
     for j, w in enumerate(all_words(d, N)):
         col = L_reference(TensorCoeffs.basis(d, N, w), spec).coeffs
         assert np.allclose(G[:, j], col, atol=1e-12)
+
+
+def test_R_op_rejects_a_state_of_another_shape():
+    spec = brownian_spec(2, 3)
+    with pytest.raises(ValueError, match="dimension"):
+        R_op(TensorCoeffs.zero(3, 3), spec)
+    with pytest.raises(ValueError, match="truncation"):
+        R_op(TensorCoeffs.zero(2, 2), spec)
 
 
 def test_linear_matrix_rejects_wide_support(rng):

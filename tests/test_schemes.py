@@ -433,6 +433,22 @@ def test_scheme2_mp_path_rejects_float_field():
     assert np.max(np.abs(vals - refs) / refs) < 5e-3
 
 
+@pytest.mark.parametrize("M", [160, 320])
+def test_scheme2_factorial_field_runs_the_decimal_path(M):
+    # at lam > 1 a tensor model enters the transport through its compiled
+    # field; the d=1 field at K=160 carries binomial multiplicities past 2^63
+    # exactly, and keeps the monomial basis's grid and values
+    K, cfg = 160, SchemeConfig(T=1.0, N=80, M=M)
+    u0 = powerseries.quartic_initial(K)
+    mono, v_mono = scheme2_transport(brownian_R(K), u0, cfg)
+    fact, v_fact = scheme2_transport(
+        operators.brownian_spec(1, K).field.riccati.apply, to_factorial_basis(u0), cfg
+    )
+    assert fact.explosion_time == mono.explosion_time < cfg.T
+    assert len(v_fact) == len(v_mono)
+    assert np.max(np.abs(v_fact - v_mono)) <= 1e-15
+
+
 @pytest.mark.parametrize("M", [20, 40])
 def test_scheme2_stops_half_steps_at_the_cut(M):
     # the value at grid point n needs n half-steps; none is taken past the
