@@ -109,7 +109,7 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     Solves the quadratic coefficient ODE for E[exp(-c y0 e^(B_t))] twice, in
     the monomial basis of the scalar calculus and in the factorial basis of
     the d=1 tensor algebra, and compares against Gaussian quadrature at the
-    multiples of 0.05 that a step lands on (at T alone when T < 0.05).
+    step nearest each multiple of 0.05 up to T, each row at its step's time.
     """
     report = RunReport(
         "gbm-laplace", {"c": c_, "y0": y0, "T": T, "K": K, "steps": steps}
@@ -132,11 +132,12 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     worst = 0.0
     worst_bases = 0.0
     missing = 0
+    at = {}  # nearest step -> its time, kept as the multiple of 0.05 it lands on
     for t in grid:
         x = t / T * cfg.steps if T > 0 else 0.0
-        k = int(round(x))
-        if abs(x - k) > 1e-9 or k > cfg.steps:
-            continue  # off the step grid: no step lands at t
+        k = min(round(x), cfg.steps)
+        at[k] = t if abs(x - k) <= 1e-9 else at.get(k, k * T / cfg.steps)
+    for k, t in at.items():
         v1 = vals[k].real if k < len(vals) else float("nan")
         v2 = vals2[k].real if k < len(vals2) else float("nan")
         ref = montecarlo.gauss_hermite_expectation(

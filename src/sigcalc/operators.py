@@ -144,7 +144,7 @@ class _Terms:
 
     def __init__(self, k, p, q, m, c, scale):
         k, p, q = (np.asarray(x, dtype=np.int64) for x in (k, p, q))
-        m = np.asarray(m)
+        m = np.asarray(m) if max(m, default=0) < 2**63 else np.array(m, dtype=object)
         c = np.asarray(c, dtype=np.complex128)
         p, q = np.minimum(p, q), np.maximum(p, q)  # u_p u_q = u_q u_p
         order = np.lexsort((q, p, k))

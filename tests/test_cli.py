@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from sigcalc import operators, powerseries, schemes
 from sigcalc.cli import main
+from sigcalc.montecarlo import gauss_hermite_expectation
 from sigcalc.report import RunReport, write_csv, write_svg
 from sigcalc.tensor import TensorCoeffs
 
@@ -64,10 +65,13 @@ def test_gbm_laplace_check_counts_rows_without_a_value(runner, tmp_path):
     assert all(math.isfinite(c["value"]) for c in checks.values())
 
 
-def test_gbm_laplace_rows_sit_on_the_step_grid(runner, tmp_path):
-    # with steps of 0.15 only every third multiple of 0.05 is a step time;
-    # each row holds the value of both bases at its own t
-    T, steps, K = 0.6, 4, 8
+@pytest.mark.parametrize("T, steps, n_rows", [(0.6, 4, 5), (0.73, 1000, 16)])
+def test_gbm_laplace_rows_sit_on_the_step_grid(runner, tmp_path, T, steps, n_rows):
+    # each multiple of 0.05 up to T reads its nearest step, at that step's
+    # own time: with steps of 0.15 every third multiple is a step time, at
+    # T=0.73 none past t=0 is and the last row sits at T; each row holds
+    # both bases and the quadrature at its own t
+    K = 8
     stem = tmp_path / "coarse"
     result = runner.invoke(
         main,
@@ -82,21 +86,26 @@ def test_gbm_laplace_rows_sit_on_the_step_grid(runner, tmp_path):
         operators.brownian_spec(1, K).field.riccati.apply, powerseries.to_factorial_basis(u0), cfg
     )
     rows = (tmp_path / "coarse.csv").read_text().splitlines()[1:]
-    assert len(rows) == 5
+    assert len(rows) == n_rows
+    ks = []
     for row in rows:
-        t, v1, v2 = (float(x) for x in row.split(",")[:3])
+        t, v1, v2, ref = (float(x) for x in row.split(",")[:4])
         k = t * steps / T
         assert abs(k - round(k)) <= 1e-9
+        ks.append(round(k))
         assert (v1, v2) == (mono[round(k)].real, fact[round(k)].real)
+        assert ref == gauss_hermite_expectation(lambda z: np.exp(-np.exp(z)), variance=t).real
+    assert ks == sorted(set(ks)) and ks[-1] == steps
 
 
-def test_gbm_laplace_at_the_top_truncation_runs_to_the_end(runner, tmp_path):
-    # at K=170 the d=1 shuffle multiplicities pass 2^63 (C(67, 33) already
-    # does); they stay exact and the run writes its artifacts.  Its direct
-    # ODE blows up before T=1, so --check fails on the rows without a value
-    # and on nothing else
+@pytest.mark.parametrize("K", [67, 170])
+def test_gbm_laplace_at_high_truncation_runs_to_the_end(runner, tmp_path, K):
+    # from K=67 the d=1 shuffle multiplicities pass 2^63 (C(67, 33) does);
+    # they stay exact and the run writes its artifacts.  Its direct ODE
+    # blows up before T=1, so --check fails on the rows without a value and
+    # on nothing else
     stem = tmp_path / "top"
-    result = runner.invoke(main, ["gbm-laplace", "--K", "170", "--out", str(stem), "--check"])
+    result = runner.invoke(main, ["gbm-laplace", "--K", str(K), "--out", str(stem), "--check"])
     assert result.exit_code == 1
     assert result.output.strip().splitlines()[-1] == "Error: failed checks: grid rows without a value"
     assert_artifacts(stem)

@@ -433,12 +433,13 @@ def test_scheme2_mp_path_rejects_float_field():
     assert np.max(np.abs(vals - refs) / refs) < 5e-3
 
 
-@pytest.mark.parametrize("M", [160, 320])
-def test_scheme2_factorial_field_runs_the_decimal_path(M):
+@pytest.mark.parametrize("K, M", [(67, 160), (160, 160), (160, 320)])
+def test_scheme2_factorial_field_runs_the_decimal_path(K, M):
     # at lam > 1 a tensor model enters the transport through its compiled
-    # field; the d=1 field at K=160 carries binomial multiplicities past 2^63
-    # exactly, and keeps the monomial basis's grid and values
-    K, cfg = 160, SchemeConfig(T=1.0, N=80, M=M)
+    # field; the d=1 field carries binomial multiplicities past 2^63 exactly,
+    # in [2^63, 2^64) at K=67 (C(67, 33)) and past 2^64 at K=160, and keeps
+    # the monomial basis's grid and values
+    cfg = SchemeConfig(T=1.0, N=80, M=M)
     u0 = powerseries.quartic_initial(K)
     mono, v_mono = scheme2_transport(brownian_R(K), u0, cfg)
     fact, v_fact = scheme2_transport(
