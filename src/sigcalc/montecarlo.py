@@ -63,15 +63,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _blocks(n_paths: int, block_size: int):
-    start = 0
-    b = 0
-    while start < n_paths:
-        yield b, min(block_size, n_paths - start)
-        start += block_size
-        b += 1
-
-
 def _chen_exp_step(levels: list, dx_over: np.ndarray, work: list) -> None:
     """In place, per path: S <- S (x) exp(dx), the Chen update by one linear
     segment, on the levels-first layout.
@@ -185,7 +176,8 @@ def simulate_sigsde(
     fn_samples = [] if functional is not None else None
     clamped = 0
 
-    for blk, nb in _blocks(cfg.n_paths, cfg.block_size):
+    for blk, lo in enumerate(range(0, cfg.n_paths, cfg.block_size)):
+        nb = min(cfg.block_size, cfg.n_paths - lo)
         rng = _block_rng(cfg.seed, blk)
         sig = np.zeros((size, nb))
         sig[0] = 1.0
@@ -194,8 +186,6 @@ def simulate_sigsde(
         # row k holds dx / k; row 1 is the step's increment dx itself
         dx_over = np.empty((max(N_sig, 1) + 1, d, nb))
         dx = dx_over[1]
-        x = np.empty((d, nb))
-        x[:] = np.asarray(spec.x0, dtype=np.float64)[:, None]
         z = np.empty((nb, d))
         dW = np.empty((d, nb))
         coef = np.zeros((len(pairings), nb))
@@ -226,9 +216,8 @@ def simulate_sigsde(
             for k in range(2, N_sig + 1):
                 np.divide(dx, k, out=dx_over[k])
             _chen_exp_step(levels, dx_over, work)
-            np.add(x, dx, out=x)
-        lo = blk * cfg.block_size
-        finals[lo : lo + nb] = x.T
+        # level 1 of the signature is the path's increment (Chen)
+        finals[lo : lo + nb] = np.asarray(spec.x0, dtype=np.float64) + levels[1].T
         blk_mean = sig.sum(axis=1) / nb
         blk_m2 = np.square(sig - blk_mean[:, None]).sum(axis=1)
         delta = blk_mean - mean
@@ -281,7 +270,7 @@ def gauss_hermite_expectation(f, variance: float) -> complex:
     if variance < 0:
         raise ValueError("variance must be >= 0")
     if variance == 0:
-        return complex(f(np.array([0.0]))[0]) if callable(f) else complex(f)
+        return complex(f(np.array([0.0]))[0])
 
     def run(h):
         x, w = _trapezoid_rule(h)

@@ -96,15 +96,15 @@ def path_signature(path: PiecewisePath, N: int) -> TensorCoeffs:
     return sig
 
 
-def is_grouplike(x: TensorCoeffs, tol: float = 1e-9) -> tuple[bool, float]:
+def is_grouplike(x: TensorCoeffs) -> tuple[bool, float]:
     """Check x_emptyword = 1 and multiplicativity x_I x_J = <e_I sh e_J, x>.
 
-    Returns (verdict, worst violation) over all word pairs that fit in the
-    truncation.
+    Returns (worst violation <= 1e-9, worst violation) over all word pairs
+    that fit in the truncation.
     """
     tab = tables(x.d, x.N)
     terms = tab.sh_c * x.coeffs[tab.sh_k]
     sums = np.add.reduceat(terms, tab.pair_start)
     viol = np.abs(x.coeffs[tab.pair_i] * x.coeffs[tab.pair_j] - sums)
     worst = float(max(np.max(viol, initial=0.0), abs(x.coeffs[0] - 1.0)))
-    return worst <= tol, worst
+    return worst <= 1e-9, worst

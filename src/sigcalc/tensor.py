@@ -14,6 +14,7 @@ pairing and the seminorm family operate on this flat layout.
 from __future__ import annotations
 
 import bisect
+import itertools
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -65,20 +66,8 @@ def index_word(idx: int, d: int) -> Word:
 
 
 def words_of_level(d: int, n: int):
-    """Yield all words of length n in rank order."""
-    if n == 0:
-        yield EMPTY_WORD
-        return
-    idx = [1] * n
-    while True:
-        yield tuple(idx)
-        j = n - 1
-        while j >= 0 and idx[j] == d:
-            idx[j] = 1
-            j -= 1
-        if j < 0:
-            return
-        idx[j] += 1
+    """All words of length n in rank order, which is lexicographic order."""
+    return itertools.product(range(1, d + 1), repeat=n)
 
 
 def all_words(d: int, N: int):

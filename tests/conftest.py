@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sigcalc.montecarlo import SimConfig, _block_rng, _blocks
+from sigcalc.montecarlo import SimConfig, _block_rng
 from sigcalc.powerseries import Model1D
 from sigcalc.schemes import Trajectory
 from sigcalc.tensor import TensorCoeffs, all_words, level_offsets, n_words, shuffle_word_pair, word_index
@@ -97,7 +97,8 @@ def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
     clamped = 0
     bc = np.ascontiguousarray(model.b.real[::-1])
     ac = np.ascontiguousarray(model.a.real[::-1])
-    for blk, nb in _blocks(cfg.n_paths, cfg.block_size):
+    for blk, lo in enumerate(range(0, cfg.n_paths, cfg.block_size)):
+        nb = min(cfg.block_size, cfg.n_paths - lo)
         rng = _block_rng(cfg.seed, blk)
         x = np.full(nb, model.x0)
         sqrt_dt = math.sqrt(dt)
@@ -108,7 +109,7 @@ def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
             clamped += int(np.count_nonzero(neg))
             np.maximum(diff2, 0.0, out=diff2)
             x = x + drift * dt + np.sqrt(diff2) * sqrt_dt * rng.standard_normal(nb)
-        finals[blk * cfg.block_size : blk * cfg.block_size + nb] = x
+        finals[lo : lo + nb] = x
     return Sim1DResult(finals=finals, clamped_steps=clamped, n_steps=steps)
 
 
@@ -148,11 +149,11 @@ def ode_integrate_reference(f, y0, cfg):
     """Fixed-step RK4 with one call per step: the loop ``ode_integrate``
     inlines, kept to pin its bits (times, states, explosion time)."""
 
-    def rk4_step(t, y, h):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
+    def rk4_step(y, h):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     y = np.asarray(y0, dtype=np.complex128).copy()
@@ -163,7 +164,7 @@ def ode_integrate_reference(f, y0, cfg):
     with np.errstate(all="ignore"):
         for k in range(cfg.steps):
             t = k * h
-            y_new = rk4_step(t, y, h)
+            y_new = rk4_step(y, h)
             if not np.all(np.isfinite(y_new)):
                 explosion_time = t + h
                 break

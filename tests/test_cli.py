@@ -1,7 +1,6 @@
 """CLI commands: artifacts, checks, and exit codes."""
 
 import json
-import logging
 import math
 import os
 import shlex
@@ -65,12 +64,16 @@ def test_gbm_laplace_check_counts_rows_without_a_value(runner, tmp_path):
     assert all(math.isfinite(c["value"]) for c in checks.values())
 
 
-@pytest.mark.parametrize("T, steps, n_rows", [(0.6, 4, 5), (0.73, 1000, 16)])
+@pytest.mark.parametrize(
+    "T, steps, n_rows",
+    [(0.6, 4, 5), (0.73, 1000, 16), (0.07, 1000, 3), (0.12, 1000, 4), (0.03, 1000, 2)],
+)
 def test_gbm_laplace_rows_sit_on_the_step_grid(runner, tmp_path, T, steps, n_rows):
-    # each multiple of 0.05 up to T reads its nearest step, at that step's
-    # own time: with steps of 0.15 every third multiple is a step time, at
-    # T=0.73 none past t=0 is and the last row sits at T; each row holds
-    # both bases and the quadrature at its own t
+    # each multiple of 0.05 below T, and T itself, reads its nearest step,
+    # at that step's own time: with steps of 0.15 every third multiple is a
+    # step time, at T=0.73 none past t=0 is; the last row sits at T, also
+    # when T is no multiple of 0.05 or below 0.05; each row holds both
+    # bases and the quadrature at its own t
     K = 8
     stem = tmp_path / "coarse"
     result = runner.invoke(
@@ -513,28 +516,3 @@ def test_report_and_writers(tmp_path):
     svg = tmp_path / "t.svg"
     write_svg(str(svg), [("series", [0.0, 1.0], [1.0, 2.0])], title="t", xlabel="x", ylabel="y")
     assert svg.read_text().startswith("<svg")
-
-
-def test_thread_cap_warns_when_it_cannot_take_effect(monkeypatch, caplog):
-    from sigcalc.cli import _apply_thread_cap
-
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.delenv("SIGCALC_THREADS", raising=False)
-    with caplog.at_level(logging.WARNING, logger="sigcalc.cli"):
-        assert _apply_thread_cap() is None
-    assert caplog.records == []
-
-    monkeypatch.setenv("SIGCALC_THREADS", "2")
-    with caplog.at_level(logging.WARNING, logger="sigcalc.cli"):
-        assert _apply_thread_cap() is None
-    assert len(caplog.records) == 1
-    msg = caplog.records[0].getMessage()
-    assert "SIGCALC_THREADS=2" in msg and "threadpoolctl" in msg
-
-    # a value that is not an integer warns the same way instead of raising
-    caplog.clear()
-    monkeypatch.setenv("SIGCALC_THREADS", "abc")
-    with caplog.at_level(logging.WARNING, logger="sigcalc.cli"):
-        assert _apply_thread_cap() is None
-    assert len(caplog.records) == 1
-    assert "SIGCALC_THREADS=abc" in caplog.records[0].getMessage()

@@ -38,7 +38,7 @@ def brownian_R_d1(K):
 @pytest.mark.parametrize("solver", ["rk4"])  # ode_integrate's one integrator
 def test_ode_linear_growth(solver):
     cfg = SchemeConfig(T=2.0, steps=200)
-    traj = ode_integrate(lambda t, y: y, np.array([1.0 + 0j]), cfg)
+    traj = ode_integrate(lambda y: y, np.array([1.0 + 0j]), cfg)
     assert traj.status == "completed"
     assert abs(traj.states[-1][0] - math.exp(2.0)) < 1e-8
 
@@ -47,7 +47,7 @@ def test_ode_linear_growth(solver):
 def test_ode_detects_scalar_riccati_blowup(solver):
     # y' = y^2, y(0) = 1 blows up at t = 1
     cfg = SchemeConfig(T=2.0, steps=4000)
-    traj = ode_integrate(lambda t, y: y * y, np.array([1.0 + 0j]), cfg)
+    traj = ode_integrate(lambda y: y * y, np.array([1.0 + 0j]), cfg)
     assert traj.status == "exploded"
     assert abs(traj.explosion_time - 1.0) < 2e-3
 
@@ -55,7 +55,7 @@ def test_ode_detects_scalar_riccati_blowup(solver):
 def test_ode_runs_through_large_finite_values():
     # y' = y reaches e^30 ~ 1.07e13 at T = 30: large, finite, not a blow-up
     cfg = SchemeConfig(T=30.0, steps=3000)
-    traj = ode_integrate(lambda t, y: y, np.array([1.0 + 0j]), cfg)
+    traj = ode_integrate(lambda y: y, np.array([1.0 + 0j]), cfg)
     assert traj.status == "completed" and traj.explosion_time is None
     assert traj.times[-1] == pytest.approx(30.0)
     assert abs(traj.states[-1][0] / math.exp(30.0) - 1.0) < 1e-6
@@ -69,19 +69,18 @@ def _route1_case(name):
         u0 = tensor.TensorCoeffs(2, 2)
         u0[(2, 1)], u0[(1, 2)] = 1.5j, -1.5j
         u0[(1,)], u0[(2,)] = 1.2j, 0.5j
-        return (lambda _t, y: R(y)), u0.coeffs, cfg
+        return R, u0.coeffs, cfg
     if name == "factorial-d1-K20":
         R = operators.brownian_spec(1, 20).field.riccati.apply
         u0 = to_factorial_basis(powerseries.gbm_laplace_initial(1.0, 1.0, 20))
-        return (lambda _t, y: R(y)), u0, cfg
+        return R, u0, cfg
     if name == "quartic-K40":  # blows up at t = 0.511
-        R = brownian_R(40)
-        return (lambda _t, y: R(y)), powerseries.quartic_initial(40), cfg
-    # t y reads the stage times; h = 1.3/97 is not a binary fraction
-    return (lambda t, y: t * y), np.array([1.0 + 0.5j, -2.0]), SchemeConfig(T=1.3, steps=97)
+        return brownian_R(40), powerseries.quartic_initial(40), cfg
+    # h = 1.3/97 is not a binary fraction, so every step time k h rounds
+    return (lambda y: y * y[::-1]), np.array([1.0 + 0.5j, -2.0]), SchemeConfig(T=1.3, steps=97)
 
 
-@pytest.mark.parametrize("case", ["levy-d2-N2", "factorial-d1-K20", "quartic-K40", "t-times-y"])
+@pytest.mark.parametrize("case", ["levy-d2-N2", "factorial-d1-K20", "quartic-K40", "autonomous-T1.3-97"])
 def test_ode_integrate_matches_the_reference_loop_bit_for_bit(case):
     f, y0, cfg = _route1_case(case)
     got, ref = ode_integrate(f, y0, cfg), ode_integrate_reference(f, y0, cfg)
@@ -95,7 +94,7 @@ def test_ode_integrate_matches_the_reference_loop_bit_for_bit(case):
 
 def test_ode_integrate_copies_only_the_initial_state():
     y0 = np.array([1.0 + 0j, 2.0])
-    traj = ode_integrate(lambda t, y: -y, y0, SchemeConfig(T=1.0, steps=3))
+    traj = ode_integrate(lambda y: -y, y0, SchemeConfig(T=1.0, steps=3))
     assert not np.shares_memory(traj.states[0], y0)
     assert len({id(s) for s in traj.states}) == 4  # no state aliases another
 
@@ -105,10 +104,10 @@ def test_ode_integrate_copies_only_the_initial_state():
 
 def test_route1_stats_steps():
     # every step taken, the one that produced the non-finite state included
-    done = ode_integrate(lambda t, y: y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=200))
+    done = ode_integrate(lambda y: y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=200))
     assert done.stats["steps"] == 200
     cfg = SchemeConfig(T=2.0, steps=4000)
-    blown = ode_integrate(lambda t, y: y * y, np.array([1.0 + 0j]), cfg)
+    blown = ode_integrate(lambda y: y * y, np.array([1.0 + 0j]), cfg)
     assert blown.stats["steps"] == len(blown.times)
     h = cfg.T / cfg.steps
     assert blown.explosion_time == (blown.stats["steps"] - 1) * h + h
@@ -118,8 +117,8 @@ def test_route1_stats_steps():
 def test_route1_stats_rhs_evals(rhs):
     calls = []
 
-    def f(t, y):
-        calls.append(t)
+    def f(y):
+        calls.append(y)
         return y if rhs == "linear" else y * y
 
     traj = ode_integrate(f, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=400))
@@ -128,27 +127,27 @@ def test_route1_stats_rhs_evals(rhs):
 
 def test_route1_stats_max_abs_state():
     # y' = y from (1, -3): the largest entry is |-3 e^T| at the last state
-    traj = ode_integrate(lambda t, y: y, np.array([1.0 + 0j, -3.0]), SchemeConfig(T=1.0, steps=100))
+    traj = ode_integrate(lambda y: y, np.array([1.0 + 0j, -3.0]), SchemeConfig(T=1.0, steps=100))
     assert traj.stats["max_abs_state"] == abs(traj.states[-1][1])
     # route 1 keeps only the states with a finite value, and so does the record
     K, cfg = 40, SchemeConfig(T=1.0, steps=1000)
     cut, _ = scheme1_riccati(brownian_R(K), powerseries.quartic_initial(K), cfg)
     assert cut.stats["max_abs_state"] == max(float(np.abs(s).max()) for s in cut.states)
-    raw = ode_integrate(lambda _t, y: brownian_R(K)(y), powerseries.quartic_initial(K), cfg)
+    raw = ode_integrate(brownian_R(K), powerseries.quartic_initial(K), cfg)
     assert cut.stats["max_abs_state"] < raw.stats["max_abs_state"]
 
 
 def test_route1_stats_stop():
-    done = ode_integrate(lambda t, y: y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=200))
+    done = ode_integrate(lambda y: y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=200))
     assert done.stats["stop"] == "completed"
-    blown = ode_integrate(lambda t, y: y * y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=4000))
+    blown = ode_integrate(lambda y: y * y, np.array([1.0 + 0j]), SchemeConfig(T=2.0, steps=4000))
     assert blown.stats["stop"] == "non-finite state"
     # the quartic at K=40: exp(u_0) overflows while the state is still finite
     K = 40
     cfg = SchemeConfig(T=1.0, steps=1000)
     traj, _ = scheme1_riccati(brownian_R(K), powerseries.quartic_initial(K), cfg)
     assert traj.status == "exploded" and traj.stats["stop"] == "non-finite value"
-    raw = ode_integrate(lambda _t, y: brownian_R(K)(y), powerseries.quartic_initial(K), cfg)
+    raw = ode_integrate(brownian_R(K), powerseries.quartic_initial(K), cfg)
     assert traj.explosion_time < raw.explosion_time
 
 
@@ -241,6 +240,21 @@ def test_scheme1_explosion_time_is_basis_free(K):
     ref = quartic_blowup_reference(K, cfg.T)
     assert abs(mono.explosion_time - ref) <= 5e-3
     assert abs(fact.explosion_time - ref) <= 5e-3
+
+
+def test_scheme1_explosion_time_of_the_real_area_transform():
+    # E[exp(lam A_t)] = sec(lam t / 2) for the signed area A of planar
+    # Brownian motion and real lam, which blows up at t = pi / lam
+    lam = 2.0
+    u0 = tensor.TensorCoeffs(2, 2)
+    u0[(2, 1)] = lam / 2
+    u0[(1, 2)] = -lam / 2
+    R = operators.brownian_spec(2, 2).field.riccati.apply
+    traj, vals = scheme1_riccati(R, u0.coeffs, SchemeConfig(T=3.0, steps=1000))
+    assert traj.status == "exploded"
+    assert math.pi / lam <= traj.explosion_time <= math.pi / lam + 0.01
+    err = max(abs(v - 1.0 / math.cos(lam * t / 2)) for t, v in zip(traj.times, vals) if t <= 1.5)
+    assert err <= 1e-5
 
 
 # -- scheme 2 -------------------------------------------------------------------
@@ -550,6 +564,21 @@ def test_expected_signature_matches_the_dense_route(N):
     spec = operators.black_scholes_spec(sigma, s0, N)
     got = expected_signature(spec, N, T)
     assert np.max(np.abs(got - dense_expected_signature(spec, N, T))) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_expected_signature_asset_words_then_time(N):
+    # the word 2^m 1 is int_0^T E[(S_t - s0)^m] / m! dt, the time integral of
+    # the lognormal moments: s0^m / m! sum_j C(m, j) (-1)^(m-j) (e^(a_j T) - 1)
+    # / a_j with a_j = sigma^2 j (j - 1) / 2, the term T where a_j = 0
+    sigma, s0, T = 0.2, 1.0, 1.0
+    got = expected_signature(operators.black_scholes_spec(sigma, s0, N), N, T)
+    for m in range(1, N):
+        a = [sigma**2 * j * (j - 1) / 2 for j in range(m + 1)]
+        terms = [math.comb(m, j) * (-1) ** (m - j) * (math.expm1(a[j] * T) / a[j] if a[j] else T)
+                 for j in range(m + 1)]
+        want = s0**m / math.factorial(m) * math.fsum(terms)
+        assert abs(got[tensor.word_index((2,) * m + (1,), 2)] - want) <= 1e-12
 
 
 def test_expected_signature_correlated_and_complex_fields():
