@@ -196,6 +196,7 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
         "explosion time nondecreasing in M", 0.0 if monotone else 1.0, 0.5
     )
     report.extra["explosion_times"] = {str(m): explosion[m] for m in Ms}
+    report.extra["field"] = model.field.sizes()
 
     ricc = {}
     for kk in rk:
@@ -256,17 +257,18 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
         raise click.BadParameter(str(exc), param_hint="'--x0'") from None
     G = powerseries.linear_matrix_1d(model)
     cs = list(np.linspace(cmin, cmax, num))
+    # one exponential exp(T G) for every c: a block of initial data
+    _, vals = schemes.scheme3_linear(G, powerseries.mgf_initial_block(cs, K), T, x0=x0)
     rows = []
     worst = 0.0
-    for c in cs:
-        u0 = powerseries.exp_conv(powerseries.mgf_initial(c, K))
-        _, val = schemes.scheme3_linear(G, u0, T, x0=x0)
+    for c, val in zip(cs, vals):
         # stationary law: mass x0 at 1 and 1 - x0 at 0 (X is a martingale)
         stat = (1.0 - x0) + x0 * math.exp(c)
         err = abs(val.real - stat)
         worst = max(worst, err)
         rows.append([c, val.real, stat, err])
     report.add_check("max deviation from stationary mgf", worst, 5e-3)
+    report.extra["field"] = model.field.sizes()
     write_csv(out + ".csv", ["c", "mgf", "stationary", "abs_err"], rows)
     write_svg(
         out + ".svg",
@@ -332,13 +334,26 @@ def cmd_levy_area(lam, gamma1, gamma2, T, steps, out, check):
     _finish(report, out, check)
 
 
-def _lognormal_word(n: int, sigma: float, s0: float, T: float) -> float:
-    """E[(S_T - s0)^n]/n! = s0^n sum_j C(n, j) (-1)^(n-j) e^(sigma^2 T j(j-1)/2)
-    / n! for the lognormal asset, summed at 50 digits: the terms alternate."""
-    with decimal.localcontext(decimal.Context(prec=50)):
+def _lognormal_words(level: int, sigma: float, s0: float, T: float) -> tuple[list, list]:
+    """Closed forms of the lognormal asset's words for m = 0..level, summed
+    at 50 digits since the terms alternate.  With a_j = sigma^2 j (j-1)/2:
+    the pure-asset word 2^m is E[(S_T - s0)^m]/m! = s0^m sum_j C(m, j)
+    (-1)^(m-j) e^(a_j T) / m!, and the asset-then-time word 2^m 1 is its
+    time integral, the same sum over (e^(a_j T) - 1)/a_j, the term T where
+    a_j = 0.  Each e^(a_j T) is taken once and serves both, with as many
+    more digits as a_j T has leading zeros, so that e^(a_j T) - 1 keeps 50."""
+    with decimal.localcontext(decimal.Context(prec=50)) as ctx:
         v = decimal.Decimal(sigma) ** 2 * decimal.Decimal(T) / 2
-        total = sum(math.comb(n, j) * (-1) ** (n - j) * (v * j * (j - 1)).exp() for j in range(n + 1))
-        return float(decimal.Decimal(s0) ** n * total / math.factorial(n))
+        x = [v * j * (j - 1) for j in range(level + 1)]  # a_j T
+        e = [xj.exp(decimal.Context(prec=ctx.prec + max(0, -xj.adjusted()))) for xj in x]
+        span = [decimal.Decimal(T) * (ej - 1) / xj if xj else decimal.Decimal(T)
+                for xj, ej in zip(x, e)]
+
+        def word(m: int, terms: list) -> float:
+            total = sum(math.comb(m, j) * (-1) ** (m - j) * terms[j] for j in range(m + 1))
+            return float(decimal.Decimal(s0) ** m * total / math.factorial(m))
+
+        return [word(m, e) for m in range(level + 1)], [word(m, span) for m in range(level + 1)]
 
 
 @main.command("expected-sig")
@@ -356,17 +371,29 @@ def cmd_expected_sig(sigma, s0, level, T, out, check):
     )
     spec = operators.black_scholes_spec(sigma, s0, level)
     c = schemes.expected_signature(spec, level, T)
-    time_err = asset_err = 0.0
+    asset, asset_time = _lognormal_words(level, sigma, s0, T)
+    # each word's error relative to max(1, |reference|): the words grow like
+    # T^m/m! and e^(sigma^2 T m(m-1)/2)
+    err = {"time": 0.0, "asset": 0.0, "asset_time": 0.0}
     rows = []
     for k, w in enumerate(tensor.all_words(2, level)):
         val = c[k].real
         rows.append(["" if not w else ",".join(map(str, w)), val])
+        m = len(w)
         if all(l == 1 for l in w):
-            time_err = max(time_err, abs(val - T ** len(w) / math.factorial(len(w))))
+            kind, ref = "time", T**m / math.factorial(m)
         elif all(l == 2 for l in w):
-            asset_err = max(asset_err, abs(val - _lognormal_word(len(w), sigma, s0, T)))
-    report.add_check("pure-time words vs T^m/m!", time_err, 1e-10)
-    report.add_check("pure-asset words vs lognormal moments", asset_err, 1e-10)
+            kind, ref = "asset", asset[m]
+        elif w[-1] == 1 and all(l == 2 for l in w[:-1]):
+            kind, ref = "asset_time", asset_time[m - 1]
+        else:
+            continue
+        err[kind] = max(err[kind], abs(val - ref) / max(1.0, abs(ref)))
+    report.add_check("pure-time words vs T^m/m!", err["time"], 1e-10)
+    report.add_check("pure-asset words vs lognormal moments", err["asset"], 1e-10)
+    report.add_check("asset-then-time words vs integrated lognormal moments",
+                     err["asset_time"], 1e-10)
+    report.extra["field"] = spec.field.sizes()
     write_csv(out + ".csv", ["word", "value"], rows)
     write_svg(
         out + ".svg",

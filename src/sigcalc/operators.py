@@ -218,11 +218,13 @@ class QuadraticField:
         return G
 
     def sizes(self) -> dict:
-        """Basis size, linear terms and quadratic terms: what one call of R costs."""
+        """Basis size, linear terms and quadratic terms: what one call of R
+        costs.  Quadratic terms are None until R is built; sizes builds none."""
+        riccati = self.__dict__.get("riccati")  # the cached_property's slot
         return {
             "words": self.size,
             "linear_terms": len(self.linear.w),
-            "quadratic_terms": len(self.riccati.w) - len(self.linear.w),
+            "quadratic_terms": None if riccati is None else len(riccati.w) - len(self.linear.w),
         }
 
 

@@ -180,3 +180,17 @@ def mgf_initial(c: float, K: int) -> np.ndarray:
     out = _poly(K)
     out[1:2] = c  # nothing to set at K = 0
     return out
+
+
+def mgf_initial_block(cs, K: int) -> np.ndarray:
+    """Coefficients of exp(c x) through degree K, one column per c: a
+    (K + 1, len(cs)) complex128 block for ``scheme3_linear``.  The recurrence
+    t_0 = 1, t_k = t_(k-1) c (1/k) makes the operations that
+    ``exp_conv(mgf_initial(c, K))`` makes on this exponent, so each column
+    holds its bits."""
+    c = np.asarray(cs, dtype=np.complex128)
+    out = np.empty((K + 1, len(c)), dtype=np.complex128)
+    out[0] = 1.0
+    for k in range(1, K + 1):
+        out[k] = out[k - 1] * c * (1.0 / k)
+    return out

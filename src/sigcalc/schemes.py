@@ -349,25 +349,40 @@ def _decimal_half_step(R_fn, u: np.ndarray, inv_m: Decimal) -> np.ndarray:
 
 def scheme3_linear(
     G: np.ndarray, u0: np.ndarray, T: float, x0: float | None = None
-) -> tuple[np.ndarray, complex | None]:
-    """Route 3: propagate the coefficient vector by the matrix exponential.
+) -> tuple[np.ndarray, complex | np.ndarray | None]:
+    """Route 3: propagate coefficient vectors by the matrix exponential.
 
-    Returns c(T) = exp(T G) u0 and, when a scalar state is supplied, the value
-    sum_n c_n(T) x0^n.
+    u0 is one coefficient vector (n,) or a block (n, B) of them, one initial
+    datum per column: exp(T G) depends on the model and the horizon only, so
+    it is formed once for the whole block.  Returns c(T) = exp(T G) u0, of
+    u0's shape, and, when a scalar state is supplied, the value
+    sum_n c_n(T) x0^n: a complex for a vector, a (B,) complex128 array for a
+    block.
+
+    Each column is its own matrix-vector product, so a block returns the bits
+    of B single-column calls; one matrix-matrix product would round
+    differently.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
+    n = len(G)
+    if len(u0) != n:
+        raise ValueError(f"initial data have {len(u0)} rows but G is {n} x {n}")
+    U = u0.reshape(n, -1)
+    c = np.empty_like(U)
     with np.errstate(all="ignore"):
-        c = matrix_exp(G, T) @ u0
+        E = matrix_exp(G, T).astype(np.complex128, copy=False)
+        for j, col in enumerate(np.ascontiguousarray(U.T)):
+            c[:, j] = E @ col
     if not np.all(np.isfinite(c)):
         raise FloatingPointError("linear propagation produced non-finite values")
     value = None
     if x0 is not None:
-        # Horner in x0 over the coefficient vector
-        acc = 0.0 + 0.0j
+        # Horner in x0 over the coefficients, all columns at once
+        acc = np.zeros(c.shape[1], dtype=np.complex128)
         for ck in c[::-1]:
             acc = acc * x0 + ck
-        value = complex(acc)
-    return c, value
+        value = acc if u0.ndim > 1 else complex(acc[0])
+    return c.reshape(u0.shape), value
 
 
 def expected_signature(spec: SdeSpec, N: int, T: float) -> np.ndarray:

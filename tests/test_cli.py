@@ -139,6 +139,9 @@ def test_bm_quartic_small(runner, tmp_path):
     report = read_report(stem)
     assert report["passed"]
     assert "explosion_times" in report
+    # the transport builds R of brownian_model(40): one merged product term
+    # per pair p <= q <= 39 of derivative slots with p + q <= 40
+    assert report["field"] == {"words": 41, "linear_terms": 39, "quadratic_terms": 440}
 
 
 def test_bm_quartic_reports_its_transport_integrator(runner, tmp_path):
@@ -241,6 +244,31 @@ def test_jacobi_mgf(runner, tmp_path):
     assert read_report(stem)["passed"]
 
 
+def test_jacobi_mgf_forms_one_matrix_exponential(runner, tmp_path, monkeypatch):
+    # 25 values of c share one exp(T G): the series block goes through one
+    # scheme3_linear call, and no exp_conv runs
+    calls = []
+    matrix_exp = schemes.matrix_exp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return matrix_exp(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp_conv called")
+
+    monkeypatch.setattr(schemes, "matrix_exp", counted)
+    monkeypatch.setattr(powerseries, "exp_conv", refuse)
+    stem = tmp_path / "jac"
+    result = runner.invoke(main, ["jacobi-mgf", "--num", "25", "--out", str(stem), "--check"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    report = read_report(stem)
+    # only L is built: x(1 - x) feeds (1/2)(j+1) v_(j+1) from x and from x^2
+    assert report["field"] == {"words": 41, "linear_terms": 78, "quadratic_terms": None}
+    assert len(report["checks"]) == 1 and report["passed"]
+
+
 def test_jacobi_mgf_off_center_x0(runner, tmp_path):
     # the limit law puts mass x0 at 1, so its mgf is (1 - x0) + x0 e^c
     stem = tmp_path / "jac03"
@@ -315,6 +343,85 @@ def test_expected_sig_checks_pure_asset_words(runner, tmp_path, args):
     checks = {c["name"]: c for c in read_report(stem)["checks"]}
     asset = checks["pure-asset words vs lognormal moments"]
     assert asset["pass"] and asset["tolerance"] == 1e-10
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[], ["--level", "8", "--sigma", "0.4", "--s0", "2"], ["--sigma", "1e-30"]],
+    ids=["defaults", "level8", "tiny-sigma"],
+)
+def test_expected_sig_checks_asset_then_time_words(runner, tmp_path, args):
+    # (2,...,2,1) of length m + 1 against the time integral of the m-th
+    # lognormal moment, at 50 digits; at sigma 1e-30, a_j T is near 1e-60 and
+    # (e^(a_j T) - 1)/a_j must not cancel to 0
+    stem = tmp_path / "esig"
+    result = runner.invoke(main, ["expected-sig", *args, "--out", str(stem), "--check"])
+    assert result.exit_code == 0, result.output
+    checks = {c["name"]: c for c in read_report(stem)["checks"]}
+    words = checks["asset-then-time words vs integrated lognormal moments"]
+    assert words["pass"] and words["tolerance"] == 1e-10 and words["value"] < 1e-14
+
+
+@pytest.mark.parametrize(
+    "args", [["--sigma", "1", "--level", "8"], ["--T", "50", "--level", "8"]],
+    ids=["sigma1", "T50"],
+)
+def test_expected_sig_checks_words_relative_to_their_size(runner, tmp_path, args):
+    # the words reach 3.6e7 (sigma 1) and 5.2e19 (T 50), where double
+    # precision alone leaves absolute errors far above 1e-10: each word is
+    # measured against max(1, |reference|)
+    stem = tmp_path / "esig"
+    result = runner.invoke(main, ["expected-sig", *args, "--out", str(stem), "--check"])
+    assert result.exit_code == 0, result.output
+    assert all(c["value"] < 1e-13 for c in read_report(stem)["checks"])
+
+
+@pytest.mark.parametrize(
+    "word, name",
+    [((2,) * 8, "pure-asset words vs lognormal moments"),
+     ((2,) * 7 + (1,), "asset-then-time words vs integrated lognormal moments")],
+    ids=["pure-asset", "asset-then-time"],
+)
+def test_expected_sig_fails_a_word_off_by_one_part_in_a_billion(
+    runner, tmp_path, monkeypatch, word, name
+):
+    from sigcalc import tensor
+
+    expected_signature = schemes.expected_signature
+
+    def perturbed(*args):
+        c = expected_signature(*args)
+        c[tensor.word_index(word, 2)] *= 1 + 1e-9
+        return c
+
+    monkeypatch.setattr(schemes, "expected_signature", perturbed)
+    stem = tmp_path / "esig"
+    result = runner.invoke(
+        main, ["expected-sig", "--sigma", "1", "--level", "8", "--out", str(stem), "--check"]
+    )
+    assert result.exit_code == 1, result.output
+    checks = {c["name"]: c for c in read_report(stem)["checks"]}
+    assert not checks[name]["pass"]
+    assert [c["name"] for c in checks.values() if not c["pass"]] == [name]
+
+
+def test_expected_sig_builds_no_quadratic_terms(runner, tmp_path, monkeypatch):
+    # field sizes read the linear terms only: R's terms at level 8 are never
+    # compiled, and the report says so with a null
+    terms = operators._tensor_terms
+
+    def linear_only(b, a, quadratic):
+        if quadratic:
+            raise AssertionError("quadratic terms built")
+        return terms(b, a, quadratic)
+
+    monkeypatch.setattr(operators, "_tensor_terms", linear_only)
+    stem = tmp_path / "esig"
+    result = runner.invoke(main, ["expected-sig", "--level", "8", "--out", str(stem), "--check"])
+    assert result.exit_code == 0, result.output
+    assert read_report(stem)["field"] == {
+        "words": 511, "linear_terms": 1950, "quadratic_terms": None
+    }
 
 
 def test_expected_sig_forms_no_dense_generator(runner, tmp_path, monkeypatch):

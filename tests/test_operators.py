@@ -190,6 +190,15 @@ def test_R_op_rejects_a_state_of_another_shape():
         R_op(TensorCoeffs.zero(2, 2), spec)
 
 
+def test_field_sizes_leave_R_unbuilt():
+    # before R is compiled its quadratic terms read None; after, their count
+    field = brownian_spec(2, 2).field
+    assert field.sizes() == {"words": 7, "linear_terms": 2, "quadratic_terms": None}
+    assert "riccati" not in field.__dict__
+    field.riccati
+    assert field.sizes() == {"words": 7, "linear_terms": 2, "quadratic_terms": 14}
+
+
 def test_linear_matrix_rejects_wide_support(rng):
     d, N = 2, 3
     spec = random_spec(rng, d, N, level_cap=3)

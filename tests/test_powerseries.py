@@ -31,6 +31,7 @@ from sigcalc.powerseries import (
     jacobi_model,
     linear_matrix_1d,
     mgf_initial,
+    mgf_initial_block,
     quartic_initial,
     to_factorial_basis,
 )
@@ -115,6 +116,17 @@ def test_exp_conv_against_ode_recursion(rng):
     for _ in range(20):
         u = random_seq(rng, K)
         assert np.allclose(exp_conv(u), exp_series_oracle(u), atol=1e-10)
+
+
+def test_mgf_initial_block_is_exp_conv_bit_for_bit(rng):
+    # the series of exp(c x) by t_k = t_(k-1) c / k makes exp_conv's own
+    # operations on the exponent c x: the default jacobi-mgf grid and random c
+    K = 40
+    for cs in (np.linspace(-3.0, 3.0, 25), rng.uniform(-5.0, 5.0, 40)):
+        block = mgf_initial_block(list(cs), K)
+        assert block.shape == (K + 1, len(cs)) and block.dtype == np.complex128
+        for j, c in enumerate(cs):
+            assert np.array_equal(block[:, j], exp_conv(mgf_initial(c, K)))
 
 
 def test_linear_matrix_1d_columns(rng):

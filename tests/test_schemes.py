@@ -529,6 +529,37 @@ def test_scheme3_rejects_overflow():
         scheme3_linear(G, np.array([1.0]), T=1.0)
 
 
+@pytest.mark.parametrize("x0", [None, 0.5, 0.1234, 0.87])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_scheme3_block_is_its_columns_bit_for_bit(kind, x0, rng):
+    # one exponential for the block, one matrix-vector product per column:
+    # the same bits as B single-column calls, values and coefficients alike
+    n, B = 9, 7
+    G = rng.normal(size=(n, n)) * 0.4
+    if kind == "complex":
+        G = G + 0.3j * rng.normal(size=(n, n))
+    U = rng.normal(size=(n, B)) + 1j * rng.normal(size=(n, B))
+    c, value = scheme3_linear(G, U, T=1.7, x0=x0)
+    assert c.shape == (n, B) and c.dtype == np.complex128
+    for j in range(B):
+        cj, vj = scheme3_linear(G, U[:, j].copy(), T=1.7, x0=x0)
+        assert np.array_equal(c[:, j], cj)
+        if x0 is None:
+            assert value is None and vj is None
+        else:
+            assert type(vj) is complex
+            assert np.array_equal(value[j], vj)
+    if x0 is not None:
+        assert value.shape == (B,) and value.dtype == np.complex128
+
+
+def test_scheme3_rejects_initial_data_of_another_size():
+    G = np.eye(4)
+    for u0 in (np.ones(3), np.ones((5, 2))):
+        with pytest.raises(ValueError, match=rf"{len(u0)} rows but G is 4 x 4"):
+            scheme3_linear(G, u0, T=1.0)
+
+
 # -- expected signatures from the field's terms --------------------------------
 
 
