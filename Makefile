@@ -9,7 +9,7 @@ install:
 # The exit status is pytest's, not tee's; POSIX sh has no pipefail, so the
 # status travels out of the pipeline on file descriptor 3.
 test:
-	@exec 4>&1; status=$$( { { $(PYTHON) -m pytest -v 2>&1; echo $$? >&3; } \
+	@exec 4>&1; status=$$( { { $(PYTHON) -m pytest -v --durations=10 2>&1; echo $$? >&3; } \
 		| tee test_output.txt >&4; } 3>&1 ); exit $$status
 
 acceptance:

@@ -257,13 +257,23 @@ def cmd_jacobi_mgf(T, K, x0, cmin, cmax, num, out, check):
         raise click.BadParameter(str(exc), param_hint="'--x0'") from None
     G = powerseries.linear_matrix_1d(model)
     cs = list(np.linspace(cmin, cmax, num))
-    # one exponential exp(T G) for every c: a block of initial data
-    _, vals = schemes.scheme3_linear(G, powerseries.mgf_initial_block(cs, K), T, x0=x0)
+    try:
+        # an overflowing series leaves non-finite entries, which scheme3_linear
+        # refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = powerseries.mgf_initial_block(cs, K)
+        # one exponential exp(T G) for every c: a block of initial data
+        _, vals = schemes.scheme3_linear(G, block, T, x0=x0)
+        # stationary law: mass x0 at 1 and 1 - x0 at 0 (X is a martingale)
+        stats = [(1.0 - x0) + x0 * math.exp(c) for c in cs]
+    except (OverflowError, FloatingPointError):
+        raise click.BadParameter(
+            f"E[exp(c X_T)] leaves the float range for c in [{cmin:g}, {cmax:g}]",
+            param_hint=["--cmin", "--cmax"],
+        ) from None
     rows = []
     worst = 0.0
-    for c, val in zip(cs, vals):
-        # stationary law: mass x0 at 1 and 1 - x0 at 0 (X is a martingale)
-        stat = (1.0 - x0) + x0 * math.exp(c)
+    for c, val, stat in zip(cs, vals, stats):
         err = abs(val.real - stat)
         worst = max(worst, err)
         rows.append([c, val.real, stat, err])

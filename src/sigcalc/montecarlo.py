@@ -106,6 +106,56 @@ def _pair(pairings: list, sig: np.ndarray, coef: np.ndarray, tmp: np.ndarray) ->
             np.add(coef[r], tmp, out=coef[r])
 
 
+def _factor_pattern(nonzero: np.ndarray) -> list:
+    """The entries of the lower-triangular Cholesky factor L that can be
+    nonzero for a symmetric matrix with the (d, d) boolean pattern
+    ``nonzero``: its own lower entries plus fill-in, and the whole diagonal.
+    Each entry is (i, j, ks) in row order, with ks the k < j whose products
+    L_ik L_jk it subtracts."""
+    d = len(nonzero)
+    lower = np.zeros((d, d), dtype=bool)
+    pattern = []
+    for i in range(d):
+        for j in range(i + 1):
+            ks = [k for k in range(j) if lower[i, k] and lower[j, k]]
+            if i == j or nonzero[i, j] or ks:
+                lower[i, j] = True
+                pattern.append((i, j, ks))
+    return pattern
+
+
+def _diffuse(pattern: list, a: np.ndarray, L: np.ndarray, dW: np.ndarray,
+             dx: np.ndarray, tmp: np.ndarray, mask: np.ndarray) -> int:
+    """In place, per path: dx += L dW, with L the Cholesky factor of the
+    diffusion matrix a = L L^T filled entry by entry in row order.
+
+    ``a`` and ``L`` are (d, d, nb); only the entries of ``pattern`` are read
+    or written.  A pivot a_ii - sum_k L_ik^2 below zero is clamped to zero,
+    and each path so clamped is counted; below a zero pivot the factor's
+    column is zero, so a direction without diffusion takes no noise.
+    ``tmp`` and ``mask`` are (nb,) float and boolean scratch arrays.  Returns
+    the number of clamped pivots.
+    """
+    clamped = 0
+    for i, j, ks in pattern:
+        s = a[i, j]
+        for k in ks:
+            np.multiply(L[i, k], L[j, k], out=tmp)
+            s = np.subtract(s, tmp, out=L[i, j])
+        if i == j:
+            np.less(s, 0.0, out=mask)
+            clamped += int(np.count_nonzero(mask))
+            np.maximum(s, 0.0, out=L[i, i])
+            np.sqrt(L[i, i], out=L[i, i])
+        else:
+            np.greater(L[j, j], 0.0, out=mask)
+            np.divide(s, L[j, j], out=L[i, j], where=mask)
+            np.multiply(L[i, j], mask, out=L[i, j])  # 0 below a zero pivot
+        np.multiply(L[i, j], dW[j], out=tmp)
+        np.add(dx[i], tmp, out=dx[i])
+    return clamped
+
+
 @dataclass
 class SigSimResult:
     sig_mean: np.ndarray
@@ -129,6 +179,13 @@ def simulate_sigsde(
     the characteristics with the running signature; the signature must be
     carried at a truncation at least as deep as the characteristics' support.
 
+    Every step factors each path's diffusion matrix a(X) = L L^T by one
+    Cholesky factorisation in place (``_diffuse``), whatever the covariance,
+    over the entries of L that a's pattern and fill-in allow, fixed once per
+    call.  A negative pivot, such as negative diffusion on the diagonal or an
+    indefinite matrix, is clamped to zero and counted in ``clamped_steps``,
+    once per path and pivot; a direction whose pivot is zero takes no noise.
+
     Each block keeps its running signatures in one contiguous
     (n_words, nb) array, levels first and paths last, with one view per
     level.  Every Euler step multiplies it in place by the signature of the
@@ -138,6 +195,8 @@ def simulate_sigsde(
     signatures of a block, an (nb, n_words) array (the transposed view), to
     one sample per path.
     """
+    if not 0 <= T < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {T}")
     d = spec.d
     need = max(
         [c.max_support_level() for c in spec.b]
@@ -151,19 +210,13 @@ def simulate_sigsde(
     size = n_words(d, N_sig)
     b_vecs = [c.with_truncation(N_sig).coeffs.real for c in spec.b]
     a_vecs = [[c.with_truncation(N_sig).coeffs.real for c in row] for row in spec.a]
-    diag_only = all(
-        not np.any(a_vecs[i][j]) for i in range(d) for j in range(d) if i != j
-    )
-    # rows 0..d-1 pair to the drift, the rest to a_ii (diagonal) or to a_ij
-    # in row-major (i, j) order
-    if diag_only:
-        a_rows = [a_vecs[i][i] for i in range(d)]
-    else:
-        a_rows = [a_vecs[i][j] for i in range(d) for j in range(d)]
-    pairings = [
-        (r, [(int(k), float(v[k])) for k in np.flatnonzero(v)])
-        for r, v in enumerate(b_vecs + a_rows)
+    # rows 0..d-1 pair to the drift, row d + i d + j to a_ij for j <= i (a is
+    # symmetric); the upper triangle's rows stay zero
+    rows = list(enumerate(b_vecs)) + [
+        (d + i * d + j, a_vecs[i][j]) for i in range(d) for j in range(i + 1)
     ]
+    pairings = [(r, [(int(k), float(v[k])) for k in np.flatnonzero(v)]) for r, v in rows]
+    pattern = _factor_pattern(np.array([[np.any(v) for v in row] for row in a_vecs]))
     steps = max(1, round(T / cfg.dt))
     dt = T / steps
     sqrt_dt = math.sqrt(dt)
@@ -188,31 +241,17 @@ def simulate_sigsde(
         dx = dx_over[1]
         z = np.empty((nb, d))
         dW = np.empty((d, nb))
-        coef = np.zeros((len(pairings), nb))
+        coef = np.zeros((d + d * d, nb))
         tmp = np.empty(nb)
-        drift, acoef = coef[:d], coef[d:]
-        if diag_only:
-            neg = np.empty((d, nb), dtype=bool)
-        else:
-            amat = np.empty((nb, d, d))
-            jitter = 1e-14 * np.eye(d)
+        drift, a = coef[:d], coef[d:].reshape(d, d, nb)
+        L = np.zeros((d, d, nb))
+        mask = np.empty(nb, dtype=bool)
         for _ in range(steps):
             rng.standard_normal(out=z)
             np.multiply(z.T, sqrt_dt, out=dW)
             _pair(pairings, sig, coef, tmp)
             np.multiply(drift, dt, out=dx)
-            if diag_only:
-                np.less(acoef, 0.0, out=neg)
-                clamped += int(np.count_nonzero(neg))
-                np.maximum(acoef, 0.0, out=acoef)
-                np.sqrt(acoef, out=acoef)
-                np.multiply(acoef, dW, out=acoef)
-                np.add(dx, acoef, out=dx)
-            else:
-                amat.reshape(nb, d * d)[:] = acoef.T
-                amat += jitter
-                root = np.linalg.cholesky(amat)
-                dx += np.einsum("nij,jn->in", root, dW)
+            clamped += _diffuse(pattern, a, L, dW, dx, tmp, mask)
             for k in range(2, N_sig + 1):
                 np.divide(dx, k, out=dx_over[k])
             _chen_exp_step(levels, dx_over, work)

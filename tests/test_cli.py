@@ -585,6 +585,9 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
         (["bm-quartic", "--T", "nan"], "'--T'"),
         (["expected-sig", "--sigma", "nan"], "'--sigma'"),
         (["jacobi-mgf", "--cmax", "inf"], "'--cmax'"),
+        # c past the float range of exp(c), and of the series of exp(c x)
+        (["jacobi-mgf", "--cmax", "710"], "'--cmin' / '--cmax'"),
+        (["jacobi-mgf", "--cmax", "1e9", "--K", "60"], "'--cmin' / '--cmax'"),
         (["levy-area", "--T", "nan"], "'--T'"),
         (["levy-area", "--lambda", "-inf"], "'--lambda'"),
     ],

@@ -1,6 +1,8 @@
 """Euler simulation, signature estimation, and the quadrature oracle."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from sigcalc.montecarlo import (
     simulate_sigsde,
 )
 from conftest import concat_exp, simulate_1d
-from sigcalc.operators import black_scholes_spec, brownian_spec
+from sigcalc.operators import SdeSpec, black_scholes_spec, brownian_spec
 from sigcalc.powerseries import brownian_model, jacobi_model
 from sigcalc.signature import segment_signature
 from sigcalc.tensor import TensorCoeffs, all_words, level_offsets, word_index
@@ -94,7 +96,7 @@ def test_black_scholes_lognormal_moments():
 
 def _check_brownian_expected_signature(cov, dt, seed):
     # exp_(x)(T/2 sum_ij cov_ij e_i e_j), word by word, at 4 se + 5e-3
-    d, N, T = 2, 3, 1.0
+    d, N, T = len(cov), 3, 1.0
     spec = brownian_spec(d, N, cov=cov)
     cfg = SimConfig(n_paths=60_000, dt=dt, seed=seed)
     res = simulate_sigsde(spec, cfg, T=T, N_sig=N)
@@ -171,10 +173,124 @@ def test_sigsde_builds_no_shuffle_table(monkeypatch):
 
 
 def test_expected_correlated_brownian_signature_vs_closed_form():
-    # an off-diagonal diffusion takes the Cholesky branch; constant diffusion
-    # makes Euler increments exact, so a coarse step is fine
+    # an off-diagonal diffusion gives the factor an entry below the diagonal;
+    # constant diffusion makes Euler increments exact, so a coarse step is fine
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     _check_brownian_expected_signature(cov, dt=0.01, seed=13)
+
+
+def test_expected_correlated_brownian_signature_with_fill_in():
+    # a_32 = 0 but L_32 = -L_31 L_21 / L_22 is not: the factor's pattern
+    # takes the fill-in
+    cov = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
+    _check_brownian_expected_signature(cov, dt=0.01, seed=17)
+
+
+def test_sigsde_clamps_an_indefinite_diffusion():
+    # pivots 1 and 1 - 2^2 = -3: the second is clamped on every path and step
+    cfg = SimConfig(n_paths=500, dt=0.01, seed=3)
+    res = simulate_sigsde(brownian_spec(2, 2, [[1.0, 2.0], [2.0, 1.0]]), cfg, T=1.0, N_sig=2)
+    assert res.clamped_steps == cfg.n_paths * 100
+    assert np.all(np.isfinite(res.sig_mean)) and np.all(np.isfinite(res.finals))
+
+
+def _time_extended_spec(rho, N):
+    # letter 1 is time, letters 2 and 3 Brownian motions with correlation rho
+    unit, zero = TensorCoeffs.unit(3, N), TensorCoeffs.zero(3, N)
+    cov = [[0.0, 0.0, 0.0], [0.0, 1.0, rho], [0.0, rho, 1.0]]
+    return SdeSpec(
+        d=3, x0=np.zeros(3), b=[unit, zero, zero.copy()], a=[[unit * c for c in row] for row in cov]
+    )
+
+
+def test_time_extended_correlated_model_keeps_time_deterministic():
+    # the time direction has a zero pivot, so it takes no noise at all: the
+    # pure-time words are T^n / n! on every path
+    res = simulate_sigsde(
+        _time_extended_spec(0.5, 3), SimConfig(n_paths=4000, dt=0.01, seed=5), T=1.0, N_sig=3
+    )
+    for n in (1, 2, 3):
+        i = word_index((1,) * n, d=3)
+        assert abs(res.sig_mean[i] - 1.0 / math.factorial(n)) <= 1e-12, n
+        assert res.sig_se[i] <= 1e-15, n
+    assert res.clamped_steps == 0
+
+
+def _peak_bytes(spec, cfg):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_sigsde(spec, cfg, T=1.0, N_sig=1)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_correlated_step_allocates_nothing_per_step():
+    # a per-step temporary is freed each step, so it cannot make the peak grow
+    # with the step count; it shows as a peak above the diagonal model's,
+    # which runs the same buffers
+    nb = 4096
+    cov = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
+    simulate_sigsde(brownian_spec(3, 1, cov), SimConfig(n_paths=8, dt=0.5), T=1.0, N_sig=1)
+    diagonal = _peak_bytes(brownian_spec(3, 1), SimConfig(n_paths=nb, dt=0.5))
+    for steps in (2, 50):
+        peak = _peak_bytes(brownian_spec(3, 1, cov), SimConfig(n_paths=nb, dt=1.0 / steps))
+        assert peak <= diagonal + 8 * nb, (steps, peak, diagonal)
+
+
+def _clamping_spec():
+    # d=1, a_11 = 1 - 2 <e_1, X>: negative once the path passes 1/2
+    a = TensorCoeffs.unit(1, 1)
+    a[(1,)] = -2.0
+    return SdeSpec(d=1, x0=np.zeros(1), b=[TensorCoeffs.zero(1, 1)], a=[[a]])
+
+
+def test_sigsde_clamps_negative_diagonal_diffusion():
+    res = simulate_sigsde(_clamping_spec(), SimConfig(n_paths=3000, dt=0.01, seed=23), T=1.0, N_sig=2)
+    assert res.clamped_steps > 0
+    assert np.all(np.isfinite(res.sig_mean)) and np.all(np.isfinite(res.sig_se))
+    assert np.all(np.isfinite(res.finals))
+    # a clamped path stops diffusing, so none wanders far past 1/2
+    assert res.finals.max() < 1.0
+
+
+# sha256 of sig_mean, sig_se and finals, and clamped_steps, recorded from the
+# diagonal Euler step before the one-factor step replaced it (numpy 2.4.6)
+_RECORDED = {
+    "black-scholes": (
+        lambda: black_scholes_spec(0.2, 1.0, 3),
+        3,
+        "f12a65547f8c0c18a68814f3444141dd475911d61f64663ea9bcc63c3a5bcbd8",
+        "412e5205df993bd809197a6b43b418ddb66e7ec0ae4e5e18cbeea9dfe4382529",
+        "855aa2b657dc2b18e36ef1052907eebfcb80ed339549babad955c8b360cf1852",
+        0,
+    ),
+    "clamping": (
+        _clamping_spec,
+        2,
+        "c9bca72d9cdc448fc372368b7b4b00560a8f9edbee7539fcbbac02b0cd55c6f7",
+        "a88612e3201f1a82835f9ca27ba8335bfc51225ffaeff438dde948eb21e81351",
+        "2274cca4b6037be9baeec9278b3ceb3dfe0895c8333bc9b46525508dbc12c874",
+        95665,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED))
+def test_diagonal_models_keep_their_recorded_bits(name):
+    make, N, *digests, clamped = _RECORDED[name]
+    cfg = SimConfig(n_paths=3000, dt=0.01, seed=19, block_size=1024)
+    res = simulate_sigsde(make(), cfg, T=1.0, N_sig=N)
+    got = [hashlib.sha256(getattr(res, f).tobytes()).hexdigest() for f in ("sig_mean", "sig_se", "finals")]
+    assert got == digests
+    assert res.clamped_steps == clamped
+
+
+@pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
+def test_sigsde_rejects_a_bad_horizon(T):
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_sigsde(brownian_spec(1, 1), SimConfig(n_paths=4), T=T, N_sig=1)
 
 
 def test_gauss_hermite_closed_forms():
