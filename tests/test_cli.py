@@ -585,11 +585,11 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
         (["bm-quartic", "--T", "nan"], "'--T'"),
         (["expected-sig", "--sigma", "nan"], "'--sigma'"),
         (["jacobi-mgf", "--cmax", "inf"], "'--cmax'"),
+        (["levy-area", "--T", "nan"], "'--T'"),
+        (["levy-area", "--lambda", "-inf"], "'--lambda'"),
         # c past the float range of exp(c), and of the series of exp(c x)
         (["jacobi-mgf", "--cmax", "710"], "'--cmin' / '--cmax'"),
         (["jacobi-mgf", "--cmax", "1e9", "--K", "60"], "'--cmin' / '--cmax'"),
-        (["levy-area", "--T", "nan"], "'--T'"),
-        (["levy-area", "--lambda", "-inf"], "'--lambda'"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, args, option):
