@@ -33,8 +33,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.block_size < 1:
             raise ValueError("path and block counts must be positive")
-        if self.dt <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.dt}")
 
 
 @dataclass
@@ -257,13 +257,13 @@ def simulate_sigsde(
             _chen_exp_step(levels, dx_over, work)
         # level 1 of the signature is the path's increment (Chen)
         finals[lo : lo + nb] = np.asarray(spec.x0, dtype=np.float64) + levels[1].T
+        if functional is not None:  # a copy: the spread below overwrites sig
+            fn_samples.append(np.array(functional(sig.T)))
         blk_mean = sig.sum(axis=1) / nb
-        blk_m2 = np.square(sig - blk_mean[:, None]).sum(axis=1)
+        np.square(np.subtract(sig, blk_mean[:, None], out=sig), out=sig)
         delta = blk_mean - mean
         mean += delta * (nb / (lo + nb))
-        m2 += blk_m2 + delta**2 * (lo * nb / (lo + nb))
-        if functional is not None:
-            fn_samples.append(np.asarray(functional(sig.T)))
+        m2 += sig.sum(axis=1) + delta**2 * (lo * nb / (lo + nb))
 
     n = cfg.n_paths
     se = np.sqrt(m2 / max(n - 1, 1) / n)

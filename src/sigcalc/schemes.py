@@ -175,19 +175,20 @@ def scheme2_transport(
 
         v(T n / N) = sum_m C(n, m) (1-lam)^(n-m) lam^m exp(A^m(u)_0).
 
-    For lam <= 1 this is a probability mixture and float64 suffices.  For
-    lam > 1 the weights alternate in sign and their magnitudes sum to
+    One mixture serves every lam: exact integer binomials in decimal
+    floating point (the standard library's ``decimal``), rounded once to
+    double.  lam selects only the half-step arithmetic.  For lam <= 1 the
+    weights are a probability mixture and the half-steps run in complex128.
+    For lam > 1 the weights alternate in sign and their magnitudes sum to
     (2 lam - 1)^n, so the mixture cancels roughly n log10(2 lam - 1) digits;
-    it is then evaluated in decimal floating point (the standard library's
-    ``decimal``) with that many digits to spare, with exact integer
-    binomials in the mixture and inside R (rounding the weights themselves
-    is enough to destroy the cancellation).  On that path the state must be
-    real (``decimal`` has no complex type; a complex state raises
-    ValueError), and R_fn receives an object array of Decimals and must
-    return one of exact scalars, int or Decimal.  A compiled field does:
-    ``R_pow`` for scalar models, and ``spec.field.riccati.apply`` for tensor
-    models, which is the lam > 1 entry there (``R_op`` is not: TensorCoeffs
-    holds complex128).  A float, as operand or result, raises TypeError.
+    the half-steps then run in ``decimal`` with that many digits to spare and
+    exact integer binomials inside R.  There the state must be real (a
+    complex state raises ValueError), and R_fn receives an object array of
+    Decimals and must return one of exact scalars, int or Decimal.  A
+    compiled field does: ``R_pow`` for scalar models, and
+    ``spec.field.riccati.apply`` for tensor models (``R_op`` is not:
+    TensorCoeffs holds complex128).  A float, as operand or result, raises
+    TypeError.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value
@@ -207,11 +208,10 @@ def scheme2_transport(
     if lam > 1.0 + 1e-12:
         cancel = cfg.N * math.log10(2.0 * lam - 1.0)
         dps = max(30, int(math.ceil(cancel)) + 30)
-        values_iter = _transport_values_dec(counted_R, u0, cfg, dps)
         precision = {"dps": dps, "predicted_cancellation_digits": cancel}
     else:
-        values_iter = _transport_values_f64(counted_R, u0, cfg)
-        precision = {}
+        dps, precision = 30, {}
+    values_iter = _transport_values(counted_R, u0, cfg, dps, exact=bool(precision))
     times = cfg.T * np.arange(cfg.N + 1) / cfg.N
     values = []
     stop = None
@@ -248,53 +248,21 @@ def _transport_cut(v: np.complex128, kept: list) -> str | None:
         return None
 
 
-def _transport_values_f64(R_fn, u0, cfg: SchemeConfig) -> Iterator[complex]:
-    """Transport mixture in float64 (signed weights only when lam < 1), one
-    grid value per half-step."""
-    lam = cfg.transport_lambda
-    u = np.asarray(u0, dtype=np.complex128).copy()
-    g = np.full(cfg.N + 1, np.nan + 0j, dtype=np.complex128)
-    for n in range(cfg.N + 1):
-        with np.errstate(all="ignore"):
-            if n == 0:
-                g[0] = np.exp(u[0])
-            elif np.all(np.isfinite(u)):
-                u = u + R_fn(u) / cfg.M
-                if np.all(np.isfinite(u)):
-                    g[n] = np.exp(u[0])
-            terms = []
-            for m in range(n + 1):
-                if (n - m > 0 and lam == 1.0) or (m > 0 and lam == 0.0):
-                    continue
-                # weights are a binomial pmf; log space avoids huge factors
-                logw = (
-                    math.lgamma(n + 1)
-                    - math.lgamma(m + 1)
-                    - math.lgamma(n - m + 1)
-                    + (m * math.log(lam) if m else 0.0)
-                    + ((n - m) * math.log1p(-lam) if n - m else 0.0)
-                )
-                terms.append(math.exp(logw) * g[m])
-        yield complex(
-            math.fsum(t.real for t in terms),
-            math.fsum(t.imag for t in terms),
-        )
+def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
+                      exact: bool) -> Iterator[complex]:
+    """The transport mixture, one grid value per half-step.
 
-
-def _transport_values_dec(R_fn, u0, cfg: SchemeConfig, dps: int) -> Iterator[complex]:
-    """Transport mixture in decimal floating point for lam > 1, one grid
-    value per half-step.
-
-    The working precision ``dps`` covers the mixture's cancellation with 30
-    digits to spare; each mixture sum is taken 40 digits wider still and
-    rounded once, to double.  The context has the widest exponent range and
-    returns infinities and NaNs instead of raising, so an overflowing exp(u_0)
-    is a non-finite value for the explosion test.  It is entered per grid
-    value, never across a yield, so the caller's decimal context is left
-    alone.
+    The half-step u + R(u)/M runs in complex128 or, when ``exact``, in
+    ``decimal`` at ``dps`` digits.  Either way each mixture term is formed at
+    ``dps`` digits, zero weights skipped, and each sum 40 digits wider, then
+    rounded once to double; the decimal path sums the real part only.  The
+    context has the widest exponent range and returns infinities and NaNs
+    instead of raising, so an overflowing exp(u_0) is a non-finite value for
+    the explosion test.  It is entered per grid value, never across a yield,
+    so the caller's decimal context is left alone.
     """
-    u0 = np.asarray(u0, dtype=np.complex128)
-    if np.any(u0.imag != 0.0):
+    u = np.array(u0, dtype=np.complex128)
+    if exact and np.any(u.imag != 0.0):
         raise ValueError(
             "at lam > 1 the transport runs in decimal arithmetic, which has "
             "no complex type: the state must be real"
@@ -308,26 +276,37 @@ def _transport_values_dec(R_fn, u0, cfg: SchemeConfig, dps: int) -> Iterator[com
     wide = ctx.copy()
     wide.prec = dps + 40
     with decimal.localcontext(ctx):
-        u = np.array([Decimal(x) for x in u0.real.tolist()], dtype=object)
+        if exact:
+            u = np.array([Decimal(x) for x in u.real.tolist()], dtype=object)
         lam_d = Decimal(cfg.T) * cfg.M / cfg.N
         one_minus = 1 - lam_d
         inv_m = Decimal(1) / cfg.M
-    g, lam_pow, rest_pow = [], [], []
+    # the n = 0 powers are 1 (decimal's 0**0 is NaN); zero weights skip below
+    g, lam_pow, rest_pow = [], [Decimal(1)], [Decimal(1)]
     for n in range(cfg.N + 1):
         with decimal.localcontext(ctx):
+            if exact:
+                if n:
+                    u = _decimal_half_step(R_fn, u, inv_m)
+                g.append((u[0].exp(),))
+            else:
+                # no half-step on a non-finite state; its value is NaN
+                with np.errstate(all="ignore"):
+                    if n and np.all(np.isfinite(u)):
+                        u = u + R_fn(u) / cfg.M
+                    gn = np.exp(u[0]) if np.all(np.isfinite(u)) else np.nan + 0j
+                g.append((Decimal(gn.real), Decimal(gn.imag)))
             if n:
-                u = _decimal_half_step(R_fn, u, inv_m)
-            g.append(u[0].exp())
-            # each power once, by the same ** as per term; binomials exact
-            lam_pow.append(lam_d**n)
-            rest_pow.append(one_minus**n)
-            terms = [
-                math.comb(n, m) * rest_pow[n - m] * lam_pow[m] * g[m]
-                for m in range(n + 1)
-            ]
+                lam_pow.append(lam_d**n)
+                rest_pow.append(one_minus**n)
+            terms = []
+            for m in range(n + 1):
+                w = math.comb(n, m) * rest_pow[n - m] * lam_pow[m]
+                if w:
+                    terms.append([w * x for x in g[m]])
         with decimal.localcontext(wide):
-            v = sum(terms)
-        yield complex(v)
+            v = [sum(parts) for parts in zip(*terms)]
+        yield complex(*v)
 
 
 def _decimal_half_step(R_fn, u: np.ndarray, inv_m: Decimal) -> np.ndarray:

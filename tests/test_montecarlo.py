@@ -293,6 +293,42 @@ def test_sigsde_rejects_a_bad_horizon(T):
         simulate_sigsde(brownian_spec(1, 1), SimConfig(n_paths=4), T=T, N_sig=1)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_sim_config_rejects_a_non_finite_step(dt):
+    # nan failed later in round(T / dt); inf ran one step of length T
+    with pytest.raises(ValueError, match="step size"):
+        SimConfig(dt=dt)
+
+
+def test_block_spread_needs_no_temporaries():
+    # the per-word spread is formed in the signature block itself, with no
+    # (n_words, nb) temporaries: 20k paths x 5 steps at d=2, N=3 peaked at
+    # 5.6 blocks with two of them and reads 3.7 without
+    nb, N = 20_000, 3
+    spec = black_scholes_spec(0.2, 1.0, N)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_sigsde(spec, SimConfig(n_paths=nb, dt=0.2, seed=1), T=1.0, N_sig=N)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    block = 8 * nb * level_offsets(2, N)[-1]  # the (n_words, nb) signatures
+    assert peak < 4.5 * block, peak / block
+
+
+def test_functional_may_return_a_view_of_the_block():
+    # the spread overwrites the block after the functional has read it, so
+    # a view must be copied: its samples are the final signatures' entries
+    cfg = SimConfig(n_paths=3000, dt=0.05, seed=3, block_size=1000)
+    res = simulate_sigsde(
+        brownian_spec(2, 3, [[1.0, 0.5], [0.5, 2.0]]), cfg, T=1.0, N_sig=3,
+        functional=lambda sig: sig[:, 5],
+    )
+    assert res.functional.mean == pytest.approx(res.sig_mean[5], rel=1e-12, abs=1e-15)
+    assert res.functional.std_error == pytest.approx(res.sig_se[5], rel=1e-9)
+
+
 def test_gauss_hermite_closed_forms():
     # moments and mgf of a centred Gaussian
     var = 0.7

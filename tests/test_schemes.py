@@ -290,7 +290,46 @@ def test_scheme2_lambda_one_is_euler():
     for _ in range(N):
         u = u + R(u) / N
         direct.append(np.exp(u[0]))
-    assert np.allclose(vals, direct, atol=1e-12)
+    assert np.array_equal(vals, direct)
+
+
+def float_mixture_referee(R, u0, N, M, T, count):
+    """The first ``count`` transport values at lam = M T / N <= 1 from the
+    transport's own float half-steps, u + R(u)/M in complex128, mixed at 60
+    digits with integer binomials and rounded to double per part."""
+    from mpmath import mp
+
+    u, g = u0.astype(np.complex128), []
+    for n in range(count):
+        if n:
+            u = u + R(u) / M
+        g.append(np.exp(u[0]))
+    with mp.workdps(60):
+        lam = mp.mpf(T) * M / N
+        return [
+            complex(*(
+                float(mp.fsum(math.comb(n, m) * (1 - lam) ** (n - m) * lam**m * part(g[m])
+                              for m in range(n + 1)))
+                for part in (lambda z: mp.mpf(z.real), lambda z: mp.mpf(z.imag))
+            ))
+            for n in range(count)
+        ]
+
+
+@pytest.mark.parametrize("K,N,M,u0", [
+    (12, 20, 10, delta(1, 12, 0.8)),
+    (12, 20, 10, delta(1, 12, 0.8j)),
+    (40, 80, 20, powerseries.quartic_initial(40)),
+], ids=["real", "imaginary", "quartic"])
+def test_scheme2_float_path_is_the_rounded_mixture(K, N, M, u0):
+    # at lam <= 1 the mixture of the float half-steps is rounded once: each
+    # part within 1 ulp of the 60-digit mixture (log-space float weights
+    # missed it by up to about 20 ulp)
+    _, vals = scheme2_transport(brownian_R(K), u0, SchemeConfig(T=1.0, N=N, M=M))
+    ref = float_mixture_referee(brownian_R(K), u0, N, M, 1.0, len(vals))
+    for v, r in zip(vals, ref):
+        for got, want in ((v.real, r.real), (v.imag, r.imag)):
+            assert abs(got - want) <= np.spacing(abs(want)), (got, want)
 
 
 @pytest.mark.parametrize("M,N", [(10, 20), (20, 20), (40, 20)])
@@ -481,6 +520,22 @@ def test_scheme2_stops_half_steps_at_the_cut(M):
     assert traj.status == "exploded"
     assert len(calls) == len(traj.times) < cfg.N
     assert traj.stats["half_steps"] == traj.stats["rhs_evals"] == len(calls)
+
+
+@pytest.mark.parametrize("M", [10, 40])
+def test_scheme2_leaves_the_callers_decimal_context_alone(M, monkeypatch):
+    # the mixture's contexts are entered per grid value, never across a
+    # yield: the caller's code between values sees its own context
+    import decimal
+
+    from sigcalc import schemes
+
+    seen, cut = [], schemes._transport_cut
+    monkeypatch.setattr(schemes, "_transport_cut",
+                        lambda v, kept: seen.append(decimal.getcontext().prec) or cut(v, kept))
+    with decimal.localcontext(decimal.Context(prec=11)):
+        scheme2_transport(brownian_R(12), delta(1, 12, 0.8), SchemeConfig(T=1.0, N=20, M=M))
+    assert seen == [11] * 21
 
 
 def test_scheme2_decimal_path_rejects_complex_state():
