@@ -281,31 +281,30 @@ def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
         lam_d = Decimal(cfg.T) * cfg.M / cfg.N
         one_minus = 1 - lam_d
         inv_m = Decimal(1) / cfg.M
-    # the n = 0 powers are 1 (decimal's 0**0 is NaN); zero weights skip below
-    g, lam_pow, rest_pow = [], [Decimal(1)], [Decimal(1)]
+    # one list of values per part summed: the real part, and on the float
+    # path the imaginary part; the n = 0 powers are 1 (decimal's 0**0 is NaN)
+    g, lam_pow, rest_pow = ([],) if exact else ([], []), [Decimal(1)], [Decimal(1)]
     for n in range(cfg.N + 1):
         with decimal.localcontext(ctx):
             if exact:
                 if n:
                     u = _decimal_half_step(R_fn, u, inv_m)
-                g.append((u[0].exp(),))
+                g[0].append(u[0].exp())
             else:
                 # no half-step on a non-finite state; its value is NaN
                 with np.errstate(all="ignore"):
                     if n and np.all(np.isfinite(u)):
                         u = u + R_fn(u) / cfg.M
                     gn = np.exp(u[0]) if np.all(np.isfinite(u)) else np.nan + 0j
-                g.append((Decimal(gn.real), Decimal(gn.imag)))
+                g[0].append(Decimal(gn.real))
+                g[1].append(Decimal(gn.imag))
             if n:
                 lam_pow.append(lam_d**n)
                 rest_pow.append(one_minus**n)
-            terms = []
-            for m in range(n + 1):
-                w = math.comb(n, m) * rest_pow[n - m] * lam_pow[m]
-                if w:
-                    terms.append([w * x for x in g[m]])
+            w = [math.comb(n, m) * rest_pow[n - m] * lam_pow[m] for m in range(n + 1)]
+            terms = [[wm * x for wm, x in zip(w, part) if wm] for part in g]
         with decimal.localcontext(wide):
-            v = [sum(parts) for parts in zip(*terms)]
+            v = [sum(t) for t in terms]
         yield complex(*v)
 
 
