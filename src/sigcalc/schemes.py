@@ -283,7 +283,8 @@ def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
         inv_m = Decimal(1) / cfg.M
     # one list of values per part summed: the real part, and on the float
     # path the imaginary part; the n = 0 powers are 1 (decimal's 0**0 is NaN)
-    g, lam_pow, rest_pow = ([],) if exact else ([], []), [Decimal(1)], [Decimal(1)]
+    g = ([],) if exact else ([], [])
+    lam_pow, rest_pow = [Decimal(1)], [Decimal(1)]
     for n in range(cfg.N + 1):
         with decimal.localcontext(ctx):
             if exact:
