@@ -324,7 +324,7 @@ def float_mixture_referee(R, u0, N, M, T, count):
 def test_scheme2_float_path_is_the_rounded_mixture(K, N, M, u0):
     # at lam <= 1 the mixture of the float half-steps is rounded once: each
     # part within 1 ulp of the 60-digit mixture (log-space float weights
-    # missed it by up to about 20 ulp)
+    # missed it by 20 to 83 ulp)
     _, vals = scheme2_transport(brownian_R(K), u0, SchemeConfig(T=1.0, N=N, M=M))
     ref = float_mixture_referee(brownian_R(K), u0, N, M, 1.0, len(vals))
     for v, r in zip(vals, ref):
