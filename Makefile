@@ -17,9 +17,16 @@ acceptance:
 
 # Regenerate every CLI artifact (csv + svg + report.json per run). Every
 # csv and svg must come out byte-identical to the committed copy in
-# artifacts/ (ARTIFACTS may point outside the checkout); reports hold
-# timings and are not compared.
+# artifacts/ (ARTIFACTS may point outside the checkout), and every report
+# equal to it once its timing, elapsed_seconds, is dropped.
 RUNS = gbm_laplace bm_quartic jacobi_mgf levy_area expected_sig
+
+# Exit 0 when the report on stdin equals the one named, apart from
+# elapsed_seconds; NaN and Infinity are read as strings, so they compare.
+SAME_REPORT = import json, sys; \
+	load = lambda f: json.load(f, parse_constant=str); \
+	drop = lambda d: {k: v for k, v in d.items() if k != "elapsed_seconds"}; \
+	sys.exit(drop(load(sys.stdin)) != drop(load(open(sys.argv[1]))))
 
 # The recipe runs from inside $(ARTIFACTS), so the checkout's src/ goes on
 # PYTHONPATH: an uninstalled checkout reproduces too.
@@ -34,6 +41,11 @@ reproduce:
 	@for f in $(foreach r,$(RUNS),$(r).csv $(r).svg); do \
 		git show HEAD:artifacts/$$f | cmp -s - $(ARTIFACTS)/$$f \
 			|| { echo "$(ARTIFACTS)/$$f differs from HEAD:artifacts/$$f"; exit 1; }; \
+	done
+	@for r in $(RUNS); do \
+		git show HEAD:artifacts/$$r.report.json \
+			| $(PYTHON) -c '$(SAME_REPORT)' $(ARTIFACTS)/$$r.report.json \
+			|| { echo "$(ARTIFACTS)/$$r.report.json differs from HEAD:artifacts/$$r.report.json"; exit 1; }; \
 	done
 
 # Every benchmark workload, untraced and traced, every metric with its unit.

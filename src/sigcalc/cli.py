@@ -83,7 +83,8 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
 
     Solves the quadratic coefficient ODE for E[exp(-c y0 e^(B_t))] twice, in
     the monomial basis of the scalar calculus and in the factorial basis of
-    the d=1 tensor algebra, and compares against Gaussian quadrature at the
+    the d=1 tensor algebra, both in one RK4 loop over the stack of the two
+    fields, and compares against Gaussian quadrature at the
     step nearest each multiple of 0.05 below T and at T itself, each row at
     its step's time.
     """
@@ -93,14 +94,11 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     model = powerseries.brownian_model(K)
     u0 = powerseries.gbm_laplace_initial(c_, y0, K)
     cfg = schemes.SchemeConfig(T=T, steps=steps)
-    traj, vals = schemes.scheme1_riccati(
-        lambda y: powerseries.R_pow(y, model),
-        u0,
-        cfg,
-    )
     spec = operators.brownian_spec(1, K)
-    traj2, vals2 = schemes.scheme1_riccati(
-        spec.field.riccati.apply, powerseries.to_factorial_basis(u0), cfg
+    (traj, vals), (traj2, vals2) = schemes.scheme1_stack(
+        [model.field.riccati, spec.field.riccati],
+        [u0, powerseries.to_factorial_basis(u0)],
+        cfg,
     )
 
     grid = [i * 0.05 for i in range(math.ceil(T / 0.05 - 1e-9))] + [T]
@@ -158,7 +156,8 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
     """Quartic-exponent functional E[exp(-B_t^4/24)] of Brownian motion.
 
     Runs the transport mixture for each half-step count M and compares the
-    surviving portion against Gaussian quadrature.
+    surviving portion against Gaussian quadrature.  The direct ODE at each
+    --riccati-k truncation is overlaid; all of them run in one RK4 loop.
     """
     report = RunReport(
         "bm-quartic", {"T": T, "K": K, "N": N, "M": Ms, "riccati_K": rk}
@@ -198,16 +197,13 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
     report.extra["explosion_times"] = {str(m): explosion[m] for m in Ms}
     report.extra["field"] = model.field.sizes()
 
-    ricc = {}
-    for kk in rk:
-        mk = powerseries.brownian_model(kk)
-        cfgk = schemes.SchemeConfig(T=T, steps=max(1000, N * 10))
-        trajk, valsk = schemes.scheme1_riccati(
-            lambda y: powerseries.R_pow(y, mk),
-            powerseries.quartic_initial(kk),
-            cfgk,
-        )
-        ricc[kk] = (trajk, valsk)
+    solved = schemes.scheme1_stack(
+        [powerseries.brownian_model(kk).field.riccati for kk in rk],
+        [powerseries.quartic_initial(kk) for kk in rk],
+        schemes.SchemeConfig(T=T, steps=max(1000, N * 10)),
+    )
+    ricc = dict(zip(rk, solved))
+    for kk, (trajk, _) in ricc.items():
         report.extra.setdefault("riccati_explosion_times", {})[str(kk)] = (
             trajk.explosion_time
         )

@@ -164,10 +164,46 @@ class _Terms:
         self.starts = np.flatnonzero(np.diff(self.k, prepend=-1))
         self.rows = self.k[self.starts]
 
+    @property
+    def size(self) -> int:
+        """Entries of the state the terms read."""
+        return len(self._scale) - 1
+
+    @classmethod
+    def stack(cls, terms: list[_Terms]) -> _Terms:
+        """The block-diagonal field of independent fields, read on their
+        states laid end to end: each block's indices are offset by the sizes
+        before it, and every block's linear terms read the stack's one
+        trailing 1.  Nothing is recompiled, so each block keeps its weights,
+        row segments and groups, and its entries of ``apply`` carry the bits
+        of its own field's on complex and object states.  On a float state
+        that holds when every block's weights are real: a block summed in
+        the complex arithmetic of another's weights rounds differently."""
+        offsets = np.cumsum([0] + [t.size for t in terms])
+        total = offsets[-1]
+        blocks = list(zip(terms, offsets.tolist()))
+
+        def at(i, t, off):
+            """Stack index of the block's index i; i = t.size is its 1."""
+            return np.where(i == t.size, total, i + off)
+
+        out = cls.__new__(cls)
+        out._scale = np.append(np.concatenate([t._scale[:-1] for t in terms]), 1)
+        out._groups = [(c, k + off, at(p, t, off), at(q, t, off), m)
+                       for t, off in blocks for c, k, p, q, m in t._groups]
+        out.k = np.concatenate([t.k + off for t, off in blocks])
+        out.p = np.concatenate([at(t.p, t, off) for t, off in blocks])
+        out.q = np.concatenate([at(t.q, t, off) for t, off in blocks])
+        out.w = np.concatenate([t.w for t in terms])
+        first = np.cumsum([0] + [len(t.w) for t in terms])
+        out.starts = np.concatenate([t.starts + n for t, n in zip(terms, first.tolist())])
+        out.rows = np.concatenate([t.rows + off for t, off in blocks])
+        return out
+
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Sum the terms at the state y."""
-        if len(y) != len(self._scale) - 1:
-            raise ValueError(f"mismatched truncations {len(self._scale) - 2} vs {len(y) - 1}")
+        if len(y) != self.size:
+            raise ValueError(f"mismatched truncations {self.size - 1} vs {len(y) - 1}")
         if y.dtype == object:
             return self._apply_exact(y)
         ue = np.concatenate((y, _ONE))

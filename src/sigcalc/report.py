@@ -13,7 +13,10 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     for row in rows:
         cells = []
         for v in row:
-            if isinstance(v, numbers.Real) and not isinstance(v, (int, bool)):
+            # float (np.float64 too) first: the ABC check is the slow one
+            if isinstance(v, float) or (
+                isinstance(v, numbers.Real) and not isinstance(v, (int, bool))
+            ):
                 cells.append(repr(float(v)))
             else:
                 cells.append(str(v))

@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .operators import SdeSpec, linear_field
+from .operators import SdeSpec, _Terms, linear_field
 
 # Route 2 flags explosion at a grid value above this magnitude, or whose
 # second difference exceeds this fraction of the local scale.
@@ -68,12 +68,14 @@ class Trajectory:
     half-steps taken, RHS evaluations and why it stopped ("completed",
     "magnitude cut", "smoothness test" or "non-finite value"), and at
     lam > 1 with the decimal digits used and the n log10(2 lam - 1) digits
-    the mixture is predicted to cancel."""
+    the mixture is predicted to cancel.  ``ode_integrate`` fills ``blocks``
+    with one trajectory per block of its state."""
 
     times: np.ndarray
     states: list
     explosion_time: float | None = None
     stats: dict | None = None
+    blocks: list[Trajectory] | None = None
 
     @property
     def status(self) -> str:
@@ -84,20 +86,31 @@ def ode_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     cfg: SchemeConfig,
+    starts=(0,),
 ) -> Trajectory:
-    """Fixed-step RK4 for the autonomous ODE y' = f(y) that stops, flagging
-    explosion, at the first step whose state is not finite.  Large finite
-    states are integrated as they are.
+    """Fixed-step RK4 for the autonomous ODE y' = f(y) on a state made of
+    independent blocks, from each of ``starts`` to the next (one block by
+    default); f must not mix blocks, as a stack of fields
+    (``_Terms.stack``) does not.  A block stops, flagging explosion, at the
+    first step whose state is not finite in it; large finite states are
+    integrated as they are.  The loop ends when every block has stopped or
+    at T.
 
-    Each new state is a fresh array, so only y0 is copied.  The trajectory's
-    ``stats`` counts the steps taken, the final non-finite one included."""
+    Each new state is a fresh array, so only y0 is copied.  The trajectory
+    returned is the loop's: its times and states run to the last step any
+    block kept, and its ``stats`` count the steps taken, the final
+    non-finite one included.  Its ``blocks`` hold one trajectory per block,
+    whose states are slices of the loop's, with the times, explosion time
+    and stats a separate solve of that block returns; one block's
+    trajectory is the loop's."""
     y = np.array(y0, dtype=np.complex128)
+    starts = np.asarray(starts, dtype=np.intp)
     h = cfg.T / cfg.steps
     h2, h6 = 0.5 * h, h / 6.0
     times = [0.0]
     states = [y]
-    explosion_time = None
-    steps = cfg.steps
+    live = np.ones(len(starts), dtype=bool)
+    stopped = {}  # block -> (steps taken, explosion time)
     with np.errstate(all="ignore"):
         for k in range(cfg.steps):
             t = k * h
@@ -106,21 +119,39 @@ def ode_integrate(
             k3 = f(y + h2 * k2)
             k4 = f(y + h * k3)
             y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
-                explosion_time = t + h
-                steps = k + 1
-                break
+            finite = np.isfinite(y)
+            if not finite.all():
+                finite = np.logical_and.reduceat(finite, starts)
+                for b in np.flatnonzero(live & ~finite).tolist():
+                    stopped[b] = (k + 1, t + h)
+                live &= finite
+                if not live.any():
+                    break
             times.append(t + h)
             states.append(y)
-    stats = {
+    times = np.array(times)
+    blocks = []
+    for b, (lo, hi) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), len(y)])):
+        steps, explosion_time = stopped.get(b, (cfg.steps, None))
+        kept = [s[lo:hi] for s in states[: steps + (explosion_time is None)]]
+        blocks.append(Trajectory(
+            times=times[: len(kept)], states=kept, explosion_time=explosion_time,
+            stats=_route1_stats(steps, _max_abs(kept), explosion_time),
+        ))
+    explosion_time = None if live.any() else max(b.explosion_time for b in blocks)
+    stats = _route1_stats(max(b.stats["steps"] for b in blocks),
+                          max(b.stats["max_abs_state"] for b in blocks), explosion_time)
+    return Trajectory(times=times, states=states, explosion_time=explosion_time,
+                      stats=stats, blocks=blocks)
+
+
+def _route1_stats(steps: int, max_abs_state: float, explosion_time: float | None) -> dict:
+    return {
         "steps": steps,
         "rhs_evals": 4 * steps,
-        "max_abs_state": _max_abs(states),
+        "max_abs_state": max_abs_state,
         "stop": "completed" if explosion_time is None else "non-finite state",
     }
-    return Trajectory(
-        times=np.array(times), states=states, explosion_time=explosion_time, stats=stats
-    )
 
 
 def _max_abs(states: list) -> float:
@@ -139,15 +170,45 @@ def scheme1_riccati(
 
     The scalar (empty-word / degree-zero) coefficient is assumed to sit at
     index 0 of the flat state, which holds for both coefficient layouts.
+    One problem is the one-block case of ``scheme1_stack``'s loop.
 
     Explosion is reported at the first step whose state or value exp(u_0)
     is non-finite.  Non-finiteness does not depend on the basis (up to the
     step in which k! pushes an overflowing coefficient past the float range)
     nor on the step size, and a large but finite value such as
-    E[exp(7 B_1)] ~ 4e10 is not an explosion.  Right before the blow-up of a truncated ODE its values grow
-    without bound, as the truncated solution itself does.
+    E[exp(7 B_1)] ~ 4e10 is not an explosion.  Right before the blow-up of
+    a truncated ODE its values grow without bound, as the truncated solution
+    itself does.
     """
-    traj = ode_integrate(R_fn, u0, cfg)
+    return _value_cut(ode_integrate(R_fn, u0, cfg).blocks[0])
+
+
+def scheme1_stack(
+    fields: list[_Terms],
+    u0s: list[np.ndarray],
+    cfg: SchemeConfig,
+) -> list[tuple[Trajectory, np.ndarray]]:
+    """Route 1 on independent problems at once: the compiled fields (such as
+    ``model.field.riccati``) are stacked block-diagonally and integrated
+    from their initial data in one RK4 loop, which ends when every block
+    has stopped or at T.  Returns one (Trajectory, values) per field, each
+    with the bits, explosion time and stats of ``scheme1_riccati(field.apply,
+    u0, cfg)``: the "non-finite value" cut is made per block.  Small fields
+    cost the loop's per-step overhead once for the whole stack."""
+    sizes = [len(u) for u in u0s]
+    if sizes != [t.size for t in fields]:
+        raise ValueError(f"initial data of sizes {sizes} for fields of sizes "
+                         f"{[t.size for t in fields]}")
+    if not fields:
+        return []
+    traj = ode_integrate(_Terms.stack(fields).apply, np.concatenate(u0s), cfg,
+                         np.cumsum([0] + sizes[:-1]))
+    return [_value_cut(b) for b in traj.blocks]
+
+
+def _value_cut(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
+    """Route 1's values exp(u_0), with the trajectory cut before the first
+    that is not finite."""
     with np.errstate(over="ignore"):
         values = np.exp(np.array([s[0] for s in traj.states]))
     bad = np.flatnonzero(~np.isfinite(values))

@@ -1,5 +1,6 @@
 """CLI commands: artifacts, checks, and exit codes."""
 
+import fractions
 import json
 import math
 import os
@@ -626,3 +627,13 @@ def test_report_and_writers(tmp_path):
     svg = tmp_path / "t.svg"
     write_svg(str(svg), [("series", [0.0, 1.0], [1.0, 2.0])], title="t", xlabel="x", ylabel="y")
     assert svg.read_text().startswith("<svg")
+
+
+def test_write_csv_formats_each_cell_type(tmp_path):
+    # floats of every kind print as repr(float(v)); ints, bools and strings
+    # print as str(v), except numpy's ints, which are Reals but not ints
+    row = [1.5, np.float64(0.1), np.float32(0.5), 3, True, np.int64(4), "exploded",
+           fractions.Fraction(1, 4), float("nan"), np.float64("inf")]
+    f = tmp_path / "cells.csv"
+    write_csv(str(f), ["c"], [row])
+    assert f.read_text().splitlines()[1] == "1.5,0.1,0.5,3,True,4.0,exploded,0.25,nan,inf"

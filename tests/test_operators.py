@@ -1,5 +1,6 @@
 """Affine operator R, linear operator L, conversions, finite matrices."""
 
+import decimal
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sigcalc.operators import (
     R_op,
     SdeSpec,
+    _Terms,
     black_scholes_spec,
     brownian_spec,
     expected_signature_matrix,
@@ -330,3 +332,63 @@ def test_terms_apply_full_rows_returns_a_new_array(name, rng):
     out = terms.apply(y)
     assert out.shape == y.shape
     assert not np.shares_memory(out, y) and not np.shares_memory(out, terms.w)
+
+
+# -- a stack of compiled fields ----------------------------------------------------
+
+STACKED = [
+    ("scalar-brownian-K20", "riccati"),
+    ("brownian-d1-K20", "riccati"),
+    ("scalar-jacobi-K8", "linear"),  # rows without a term: the zero-filling path
+    ("black-scholes-N3", "riccati"),
+]
+
+
+def _stacked(names):
+    terms = [getattr(FIELDS[name](), part) for name, part in names]
+    bounds = np.cumsum([0] + [t.size for t in terms])
+    return terms, _Terms.stack(terms), list(zip(bounds[:-1], bounds[1:]))
+
+
+def test_stacked_apply_equals_each_fields_own_bit_for_bit(rng):
+    terms, stack, bounds = _stacked(STACKED)
+    y = rng.normal(size=stack.size)
+    got = stack.apply(y)
+    assert got.dtype == np.float64
+    for t, (lo, hi) in zip(terms, bounds):
+        assert np.array_equal(got[lo:hi], t.apply(y[lo:hi]))
+    # a model with complex weights makes the stack's weights complex; on the
+    # complex states route 1 integrates, the real blocks keep their bits
+    K = 6
+    skew = powerseries.Model1D(b=powerseries._poly(K, 0.3j, 0.5),
+                               a=powerseries._poly(K, 1.0, 0.2), x0=0.0)
+    terms.append(skew.field.riccati)
+    bounds.append((stack.size, stack.size + K + 1))
+    stack = _Terms.stack(terms)
+    y = rng.normal(size=stack.size) + 1j * rng.normal(size=stack.size)
+    got = stack.apply(y)
+    for t, (lo, hi) in zip(terms, bounds):
+        assert np.array_equal(got[lo:hi], t.apply(y[lo:hi]))
+
+
+def test_stacked_apply_on_decimal_states_equals_each_fields_own():
+    # the object path reads the stacked groups: every entry exact, in the
+    # state's precision, as each field's own _apply_exact makes it
+    terms, stack, bounds = _stacked(STACKED)
+    rng = np.random.default_rng(7)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        y = np.array([decimal.Decimal(x) for x in rng.normal(size=stack.size).tolist()],
+                     dtype=object)
+        got = stack.apply(y)
+        for t, (lo, hi) in zip(terms, bounds):
+            own = t.apply(y[lo:hi].copy())
+            assert got.dtype == own.dtype == object
+            assert list(got[lo:hi]) == list(own)
+            assert all(type(a) is type(b) for a, b in zip(got[lo:hi], own))
+
+
+def test_stack_of_one_field_is_that_field():
+    t = FIELDS["brownian-d2-N2"]().riccati
+    s = _Terms.stack([t])
+    for name in ("k", "p", "q", "w", "starts", "rows", "_scale"):
+        assert np.array_equal(getattr(s, name), getattr(t, name)), name

@@ -16,6 +16,7 @@ from sigcalc.schemes import (
     matrix_exp,
     ode_integrate,
     scheme1_riccati,
+    scheme1_stack,
     scheme2_transport,
     scheme3_linear,
 )
@@ -255,6 +256,99 @@ def test_scheme1_explosion_time_of_the_real_area_transform():
     assert math.pi / lam <= traj.explosion_time <= math.pi / lam + 0.01
     err = max(abs(v - 1.0 / math.cos(lam * t / 2)) for t, v in zip(traj.times, vals) if t <= 1.5)
     assert err <= 1e-5
+
+
+# -- route 1 on a stack of fields ---------------------------------------------------
+
+
+def _levy_u0(lam, g1, g2):
+    u0 = tensor.TensorCoeffs(2, 2)
+    u0[(2, 1)], u0[(1, 2)] = 0.5j * lam, -0.5j * lam
+    u0[(1,)], u0[(2,)] = 1j * g1, 1j * g2
+    return u0.coeffs
+
+
+def _stack_case(name):
+    """(fields, initial data, cfg) of a stack that route 1 integrates."""
+    cfg = SchemeConfig(T=1.0, steps=1000)
+    if name == "gbm-bases-K20":  # gbm-laplace: the monomial and factorial bases
+        u0 = powerseries.gbm_laplace_initial(1.0, 1.0, 20)
+        fields = [brownian_model(20).field.riccati, operators.brownian_spec(1, 20).field.riccati]
+        return fields, [u0, to_factorial_basis(u0)], cfg
+    if name == "quartic-K10-20-40":  # bm-quartic: K=40 stops first, at t = 0.511
+        Ks = (10, 20, 40)
+        return ([brownian_model(K).field.riccati for K in Ks],
+                [powerseries.quartic_initial(K) for K in Ks], cfg)
+    # E[exp(40 B_t)] = exp(800 t): exp(u_0) overflows at t = 0.887 while the
+    # state stays finite, so that block is cut on its value; the Levy-area
+    # and gbm blocks complete
+    return ([brownian_model(4).field.riccati, operators.brownian_spec(2, 2).field.riccati,
+             brownian_model(20).field.riccati],
+            [delta(1, 4, 40.0), _levy_u0(1.5, 1.2, 0.5),
+             powerseries.gbm_laplace_initial(0.7, 1.3, 20)], cfg)
+
+
+@pytest.mark.parametrize("case", ["gbm-bases-K20", "quartic-K10-20-40", "value-cut"])
+def test_route1_stack_matches_separate_solves_bit_for_bit(case):
+    fields, u0s, cfg = _stack_case(case)
+    solved = scheme1_stack(fields, u0s, cfg)
+    assert len(solved) == len(fields)
+    for (got, vals), field, u0 in zip(solved, fields, u0s):
+        ref, ref_vals = scheme1_riccati(field.apply, u0, cfg)
+        assert np.array_equal(got.times, ref.times)
+        assert len(got.states) == len(ref.states)
+        assert np.array_equal(np.array(got.states), np.array(ref.states))
+        assert np.array_equal(vals, ref_vals)
+        assert (got.status, got.explosion_time) == (ref.status, ref.explosion_time)
+        assert got.stats == ref.stats
+    stops = [traj.stats["stop"] for traj, _ in solved]
+    if case == "quartic-K10-20-40":
+        assert stops == ["completed", "completed", "non-finite value"]
+        assert 0.505 < solved[2][0].explosion_time < 0.52
+    if case == "value-cut":
+        assert stops == ["non-finite value", "completed", "completed"]
+        assert solved[0][0].stats["steps"] == cfg.steps  # its state stayed finite
+
+
+def test_ode_integrate_stack_runs_until_every_block_stops():
+    # y' = y^2 entry by entry blows up at t = 1/y(0): a block-diagonal field
+    calls = []
+
+    def f(y):
+        calls.append(1)
+        return y * y
+
+    cfg = SchemeConfig(T=3.0, steps=3000)
+    traj = ode_integrate(f, np.array([1.0 + 0j, -0.2, 0.5]), cfg, starts=[0, 2])
+    first, last = traj.blocks
+    for block, y0 in zip(traj.blocks, ([1.0 + 0j, -0.2], [0.5 + 0j])):
+        ref = ode_integrate(f, np.array(y0), cfg)
+        assert np.array_equal(block.times, ref.times)
+        assert np.array_equal(np.array(block.states), np.array(ref.states))
+        assert (block.explosion_time, block.stats) == (ref.explosion_time, ref.stats)
+    # the loop's own record ends with the block that stops last
+    assert first.explosion_time < last.explosion_time == traj.explosion_time
+    assert np.array_equal(traj.times, last.times)
+    top = max(first.stats["max_abs_state"], last.stats["max_abs_state"])
+    assert traj.stats == {**last.stats, "max_abs_state": top}
+    # block states are slices of the loop's states, not copies
+    assert all(np.shares_memory(b, s) for b, s in zip(first.states, traj.states))
+    # one block completing runs the loop to T
+    calls.clear()
+    traj = ode_integrate(f, np.array([1.0 + 0j, 0.2]), cfg, starts=[0, 1])
+    assert traj.status == "completed" and traj.stats["stop"] == "completed"
+    assert traj.stats["steps"] == cfg.steps and len(traj.times) == cfg.steps + 1
+    assert len(calls) == traj.stats["rhs_evals"] == 4 * cfg.steps
+    assert [b.status for b in traj.blocks] == ["exploded", "completed"]
+
+
+def test_route1_stack_checks_its_initial_data():
+    fields = [brownian_model(4).field.riccati, brownian_model(6).field.riccati]
+    with pytest.raises(ValueError, match="initial data of sizes"):
+        scheme1_stack(fields, [delta(1, 6), delta(1, 4)], SchemeConfig(T=1.0))
+    with pytest.raises(ValueError, match="initial data of sizes"):
+        scheme1_stack(fields, [delta(1, 4)], SchemeConfig(T=1.0))
+    assert scheme1_stack([], [], SchemeConfig(T=1.0)) == []
 
 
 # -- scheme 2 -------------------------------------------------------------------
