@@ -88,6 +88,12 @@ def cmd_gbm_laplace(c_, y0, T, K, steps, out, check):
     step nearest each multiple of 0.05 below T and at T itself, each row at
     its step's time.
     """
+    if T > 0 and (c_ < 0 < y0 or y0 < 0 < c_):
+        raise click.BadParameter(
+            "E[exp(-c y0 e^(B_t))] is infinite for t > 0 when c y0 < 0: "
+            "the lognormal has no exponential moments",
+            param_hint=["--c", "--y0"],
+        )
     report = RunReport(
         "gbm-laplace", {"c": c_, "y0": y0, "T": T, "K": K, "steps": steps}
     )

@@ -139,16 +139,18 @@ class _Terms:
     products of nonzero entries are formed, m z_p z_q is summed per k in the
     state's precision and multiplied by c converted exactly into the state's
     type (Decimal refuses floats).  Entries no product reaches stay the int
-    0, so a real state stays real.
+    0, so a real state stays real.  The terms, sorted, stay in ``_raw``, which
+    ``stack`` lays end to end.
     """
 
     def __init__(self, k, p, q, m, c, scale):
         k, p, q = (np.asarray(x, dtype=np.int64) for x in (k, p, q))
-        m = np.asarray(m) if max(m, default=0) < 2**63 else np.array(m, dtype=object)
+        big = max(m, default=0) >= 2**63
+        m = np.array(m, dtype=object) if big else np.asarray(m, dtype=np.int64)
         c = np.asarray(c, dtype=np.complex128)
         p, q = np.minimum(p, q), np.maximum(p, q)  # u_p u_q = u_q u_p
         order = np.lexsort((q, p, k))
-        k, p, q, m, c = k[order], p[order], q[order], m[order], c[order]
+        k, p, q, m, c = self._raw = k[order], p[order], q[order], m[order], c[order]
         s = np.append(np.asarray(scale, dtype=np.int64), 1)
         self._scale = s.astype(object)
         group = np.unique(c, return_inverse=True)[1]
@@ -172,33 +174,23 @@ class _Terms:
     @classmethod
     def stack(cls, terms: list[_Terms]) -> _Terms:
         """The block-diagonal field of independent fields, read on their
-        states laid end to end: each block's indices are offset by the sizes
-        before it, and every block's linear terms read the stack's one
-        trailing 1.  Nothing is recompiled, so each block keeps its weights,
+        states laid end to end: each block's raw terms are offset by the
+        sizes before it, its linear terms read the stack's one trailing 1,
+        and the constructor compiles the lot.  The blocks share no output
+        row and the sort is stable, so each block keeps its merged weights,
         row segments and groups, and its entries of ``apply`` carry the bits
         of its own field's on complex and object states.  On a float state
         that holds when every block's weights are real: a block summed in
         the complex arithmetic of another's weights rounds differently."""
-        offsets = np.cumsum([0] + [t.size for t in terms])
-        total = offsets[-1]
-        blocks = list(zip(terms, offsets.tolist()))
+        offsets = np.cumsum([0] + [t.size for t in terms]).tolist()
+        one = offsets[-1]  # the stack's trailing 1
 
-        def at(i, t, off):
-            """Stack index of the block's index i; i = t.size is its 1."""
-            return np.where(i == t.size, total, i + off)
+        def block(t, off):
+            k, p, q, m, c = t._raw
+            return (k + off, *(np.where(i == t.size, one, i + off) for i in (p, q)), m, c)
 
-        out = cls.__new__(cls)
-        out._scale = np.append(np.concatenate([t._scale[:-1] for t in terms]), 1)
-        out._groups = [(c, k + off, at(p, t, off), at(q, t, off), m)
-                       for t, off in blocks for c, k, p, q, m in t._groups]
-        out.k = np.concatenate([t.k + off for t, off in blocks])
-        out.p = np.concatenate([at(t.p, t, off) for t, off in blocks])
-        out.q = np.concatenate([at(t.q, t, off) for t, off in blocks])
-        out.w = np.concatenate([t.w for t in terms])
-        first = np.cumsum([0] + [len(t.w) for t in terms])
-        out.starts = np.concatenate([t.starts + n for t, n in zip(terms, first.tolist())])
-        out.rows = np.concatenate([t.rows + off for t, off in blocks])
-        return out
+        raw = zip(*(block(t, off) for t, off in zip(terms, offsets)))
+        return cls(*map(np.concatenate, raw), np.concatenate([t._scale[:-1] for t in terms]))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Sum the terms at the state y."""

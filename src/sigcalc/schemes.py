@@ -45,8 +45,8 @@ class SchemeConfig:
     M: int = 1  # transport half-step count per unit time
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("horizon must be >= 0")
+        if not 0 <= self.T < math.inf:
+            raise ValueError(f"horizon must be finite and >= 0, got {self.T}")
         if self.steps < 1:
             raise ValueError("need at least one step")
         if self.N < 1 or self.M < 1:
@@ -59,8 +59,9 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Time grid, per-time coefficient states/values, and the explosion time
-    (None when the run completed).
+    """Time grid, the states at those times, and the explosion time (None
+    when the run completed).  Route 1's states are an array with one row of
+    coefficients per time, route 2's the grid values.
 
     Route 1 fills ``stats``: RK4 steps taken, RHS evaluations, the largest
     |entry| of the states kept, and why the run stopped ("completed",
@@ -72,7 +73,7 @@ class Trajectory:
     with one trajectory per block of its state."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     explosion_time: float | None = None
     stats: dict | None = None
     blocks: list[Trajectory] | None = None
@@ -90,75 +91,59 @@ def ode_integrate(
 ) -> Trajectory:
     """Fixed-step RK4 for the autonomous ODE y' = f(y) on a state made of
     independent blocks, from each of ``starts`` to the next (one block by
-    default); f must not mix blocks, as a stack of fields
-    (``_Terms.stack``) does not.  A block stops, flagging explosion, at the
-    first step whose state is not finite in it; large finite states are
-    integrated as they are.  The loop ends when every block has stopped or
-    at T.
+    default: the starts begin at 0 and increase strictly below len(y0)); f
+    must not mix blocks, as a stack of fields (``_Terms.stack``) does not.
+    A block stops, flagging explosion, at the first step whose state is not
+    finite in it; large finite states are integrated as they are.  The loop
+    ends when every block has stopped or at T.
 
-    Each new state is a fresh array, so only y0 is copied.  The trajectory
-    returned is the loop's: its times and states run to the last step any
-    block kept, and its ``stats`` count the steps taken, the final
-    non-finite one included.  Its ``blocks`` hold one trajectory per block,
-    whose states are slices of the loop's, with the times, explosion time
-    and stats a separate solve of that block returns; one block's
-    trajectory is the loop's."""
+    Each step's state is a fresh array, copied into its row of one
+    (steps + 1, len(y0)) array of states.  The trajectory returned is the
+    loop's: its times and states run to the last step any block kept, and
+    its ``stats`` count the steps taken, the final non-finite one included.
+    Its ``blocks`` hold one trajectory per block, whose states are the view
+    of the block's columns up to its first non-finite row, with the times,
+    explosion time and stats a separate solve of that block returns."""
     y = np.array(y0, dtype=np.complex128)
     starts = np.asarray(starts, dtype=np.intp)
+    if not (starts.ndim == 1 and starts.size and starts[0] == 0
+            and np.all(np.diff(starts) > 0) and starts[-1] < len(y)):
+        raise ValueError(f"block starts {starts.tolist()} must begin at 0 and "
+                         f"increase strictly below the state's {len(y)} entries")
     h = cfg.T / cfg.steps
     h2, h6 = 0.5 * h, h / 6.0
-    times = [0.0]
-    states = [y]
-    live = np.ones(len(starts), dtype=bool)
-    stopped = {}  # block -> (steps taken, explosion time)
+    Y = np.empty((cfg.steps + 1, len(y)), dtype=np.complex128)
+    Y[0] = y
     with np.errstate(all="ignore"):
-        for k in range(cfg.steps):
-            t = k * h
+        for k in range(1, cfg.steps + 1):
             k1 = f(y)
             k2 = f(y + h2 * k1)
             k3 = f(y + h2 * k2)
             k4 = f(y + h * k3)
             y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Y[k] = y
             finite = np.isfinite(y)
-            if not finite.all():
-                finite = np.logical_and.reduceat(finite, starts)
-                for b in np.flatnonzero(live & ~finite).tolist():
-                    stopped[b] = (k + 1, t + h)
-                live &= finite
-                if not live.any():
-                    break
-            times.append(t + h)
-            states.append(y)
-    times = np.array(times)
-    blocks = []
-    for b, (lo, hi) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), len(y)])):
-        steps, explosion_time = stopped.get(b, (cfg.steps, None))
-        kept = [s[lo:hi] for s in states[: steps + (explosion_time is None)]]
-        blocks.append(Trajectory(
-            times=times[: len(kept)], states=kept, explosion_time=explosion_time,
-            stats=_route1_stats(steps, _max_abs(kept), explosion_time),
-        ))
-    explosion_time = None if live.any() else max(b.explosion_time for b in blocks)
-    stats = _route1_stats(max(b.stats["steps"] for b in blocks),
-                          max(b.stats["max_abs_state"] for b in blocks), explosion_time)
-    return Trajectory(times=times, states=states, explosion_time=explosion_time,
-                      stats=stats, blocks=blocks)
+            if not finite.all() and not np.logical_and.reduceat(finite, starts).any():
+                Y = Y[: k + 1]
+                break
+    times = np.append(0.0, np.arange(len(Y) - 1) * h + h)
+    # rows kept per block: up to its first non-finite row after row 0 (a
+    # non-finite entry stays so), or all of them
+    ok = np.logical_and.reduceat(np.isfinite(Y[1:]), starts, axis=1)
+    kept = np.where(ok.all(axis=0), len(Y), ok.argmin(axis=0) + 1).tolist()
 
+    def record(r: int, states: np.ndarray, max_abs_state: float, blocks=None) -> Trajectory:
+        """The first r rows; fewer than all of them end in an explosion."""
+        explosion_time = float(times[r]) if r < len(Y) else None
+        steps = min(r, cfg.steps)
+        stats = {"steps": steps, "rhs_evals": 4 * steps, "max_abs_state": max_abs_state,
+                 "stop": "completed" if explosion_time is None else "non-finite state"}
+        return Trajectory(times[:r], states, explosion_time, stats, blocks)
 
-def _route1_stats(steps: int, max_abs_state: float, explosion_time: float | None) -> dict:
-    return {
-        "steps": steps,
-        "rhs_evals": 4 * steps,
-        "max_abs_state": max_abs_state,
-        "stop": "completed" if explosion_time is None else "non-finite state",
-    }
-
-
-def _max_abs(states: list) -> float:
-    """Largest |entry| of the states (0 for none), read 256 states at a time
-    so that no copy of the whole trajectory is held at once."""
-    return max((float(np.abs(np.array(states[i:i + 256])).max())
-                for i in range(0, len(states), 256)), default=0.0)
+    blocks = [record(r, Y[:r, lo:hi], float(np.abs(Y[:r, lo:hi]).max()))
+              for r, lo, hi in zip(kept, starts.tolist(), [*starts[1:].tolist(), len(y)])]
+    r = max(kept)
+    return record(r, Y[:r], max(b.stats["max_abs_state"] for b in blocks), blocks)
 
 
 def scheme1_riccati(
@@ -210,7 +195,7 @@ def _value_cut(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
     """Route 1's values exp(u_0), with the trajectory cut before the first
     that is not finite."""
     with np.errstate(over="ignore"):
-        values = np.exp(np.array([s[0] for s in traj.states]))
+        values = np.exp(traj.states[:, 0])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         n = int(bad[0])
@@ -218,8 +203,8 @@ def _value_cut(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
             times=traj.times[:n],
             states=traj.states[:n],
             explosion_time=float(traj.times[n]),
-            stats={**traj.stats, "max_abs_state": _max_abs(traj.states[:n]),
-                   "stop": "non-finite value"},
+            stats={**traj.stats, "stop": "non-finite value",
+                   "max_abs_state": float(np.abs(traj.states[:n]).max(initial=0.0))},
         )
         values = values[:n]
     return traj, values
@@ -259,20 +244,13 @@ def scheme2_transport(
     soon as its half-step lands, and no half-step is taken past the cut.
     """
     lam = cfg.transport_lambda
-    evals = 0
-
-    def counted_R(u):
-        nonlocal evals
-        evals += 1
-        return R_fn(u)
-
     if lam > 1.0 + 1e-12:
         cancel = cfg.N * math.log10(2.0 * lam - 1.0)
         dps = max(30, int(math.ceil(cancel)) + 30)
         precision = {"dps": dps, "predicted_cancellation_digits": cancel}
     else:
         dps, precision = 30, {}
-    values_iter = _transport_values(counted_R, u0, cfg, dps, exact=bool(precision))
+    values_iter = _transport_values(R_fn, u0, cfg, dps, exact=bool(precision))
     times = cfg.T * np.arange(cfg.N + 1) / cfg.N
     values = []
     stop = None
@@ -282,14 +260,14 @@ def scheme2_transport(
         if stop:
             break
         values.append(v)
+    values = np.array(values, dtype=np.complex128)
     traj = Trajectory(
         times=times[: len(values)],
         states=values,
         explosion_time=float(times[n]) if stop else None,
-        stats={"half_steps": n, "rhs_evals": evals,
-               "stop": stop or "completed", **precision},
+        stats={"half_steps": n, "rhs_evals": n, "stop": stop or "completed", **precision},
     )
-    return traj, np.array(values, dtype=np.complex128)
+    return traj, values
 
 
 def _transport_cut(v: np.complex128, kept: list) -> str | None:
@@ -353,9 +331,9 @@ def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
                     u = _decimal_half_step(R_fn, u, inv_m)
                 g[0].append(u[0].exp())
             else:
-                # no half-step on a non-finite state; its value is NaN
+                # a non-finite state stays so, and its value is NaN
                 with np.errstate(all="ignore"):
-                    if n and np.all(np.isfinite(u)):
+                    if n:
                         u = u + R_fn(u) / cfg.M
                     gn = np.exp(u[0]) if np.all(np.isfinite(u)) else np.nan + 0j
                 g[0].append(Decimal(gn.real))

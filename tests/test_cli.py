@@ -118,6 +118,17 @@ def test_gbm_laplace_at_high_truncation_runs_to_the_end(runner, tmp_path, K):
     ]
 
 
+def test_gbm_laplace_with_negative_c_y0_runs_at_T0(runner, tmp_path):
+    # c y0 < 0 is refused for t > 0 only: at T = 0 the value exp(-c y0) is finite
+    stem = tmp_path / "t0"
+    result = runner.invoke(
+        main, ["gbm-laplace", "--c", "-0.01", "--T", "0", "--K", "8", "--out", str(stem), "--check"]
+    )
+    assert result.exit_code == 0, result.output
+    row = (tmp_path / "t0.csv").read_text().splitlines()[1].split(",")
+    assert float(row[0]) == 0.0 and float(row[1]) == pytest.approx(math.exp(0.01), rel=1e-15)
+
+
 def test_bm_quartic_small(runner, tmp_path):
     # a scaled-down grid exercises both the float64 and the high-precision
     # transport paths plus one direct-ODE overlay
@@ -591,6 +602,9 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
         # c past the float range of exp(c), and of the series of exp(c x)
         (["jacobi-mgf", "--cmax", "710"], "'--cmin' / '--cmax'"),
         (["jacobi-mgf", "--cmax", "1e9", "--K", "60"], "'--cmin' / '--cmax'"),
+        # E[exp(-c y0 e^(B_t))] is infinite for t > 0 once c y0 < 0
+        (["gbm-laplace", "--c", "-0.01"], "'--c' / '--y0'"),
+        (["gbm-laplace", "--y0", "-1"], "'--c' / '--y0'"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, args, option):

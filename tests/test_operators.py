@@ -387,6 +387,26 @@ def test_stacked_apply_on_decimal_states_equals_each_fields_own():
             assert all(type(a) is type(b) for a, b in zip(got[lo:hi], own))
 
 
+def test_stack_keeps_multiplicities_past_2_63_exact(rng):
+    # the d=1 field at K=67 holds Python-int multiplicities (C(67, 33) > 2^63),
+    # so the stacked multiplicities are an object array; the K=4 block's stay
+    # exact in it, and both blocks keep their bits and their exact sums
+    terms = [brownian_spec(1, 67).field.riccati, powerseries.brownian_model(4).field.riccati]
+    assert any(m.dtype == object for *_, m in terms[0]._groups)
+    stack = _Terms.stack(terms)
+    bounds = [(0, 68), (68, 73)]
+    for y in (rng.normal(size=73) * 0.1, (rng.normal(size=73) + 1j * rng.normal(size=73)) * 0.1):
+        got = stack.apply(y)
+        for t, (lo, hi) in zip(terms, bounds):
+            assert np.array_equal(got[lo:hi], t.apply(y[lo:hi]))
+    with decimal.localcontext(decimal.Context(prec=40)):
+        y = np.array([decimal.Decimal(x) for x in (rng.normal(size=73) * 0.1).tolist()],
+                     dtype=object)
+        got = stack.apply(y)
+        for t, (lo, hi) in zip(terms, bounds):
+            assert list(got[lo:hi]) == list(t._apply_exact(y[lo:hi].copy()))
+
+
 def test_stack_of_one_field_is_that_field():
     t = FIELDS["brownian-d2-N2"]().riccati
     s = _Terms.stack([t])

@@ -97,7 +97,9 @@ def test_ode_integrate_copies_only_the_initial_state():
     y0 = np.array([1.0 + 0j, 2.0])
     traj = ode_integrate(lambda y: -y, y0, SchemeConfig(T=1.0, steps=3))
     assert not np.shares_memory(traj.states[0], y0)
-    assert len({id(s) for s in traj.states}) == 4  # no state aliases another
+    # rows of one array: no state aliases another
+    assert isinstance(traj.states, np.ndarray) and traj.states.shape == (4, 2)
+    assert not np.shares_memory(traj.states, y0)
 
 
 # -- route 1's integrator record ---------------------------------------------------
@@ -342,6 +344,16 @@ def test_ode_integrate_stack_runs_until_every_block_stops():
     assert [b.status for b in traj.blocks] == ["exploded", "completed"]
 
 
+@pytest.mark.parametrize("starts", [[1], [0, 0], [2, 0], [0, 5], [0, 3], [], [[0]]])
+def test_ode_integrate_checks_its_block_starts(starts):
+    # starts begin at 0 and increase strictly below the state's 3 entries
+    y0 = np.array([1.0 + 0j, 0.5, 0.2])
+    with pytest.raises(ValueError, match="block starts"):
+        ode_integrate(lambda y: y * y, y0, SchemeConfig(T=2.0, steps=10), starts=starts)
+    assert len(ode_integrate(lambda y: y, y0, SchemeConfig(T=1.0, steps=4),
+                             starts=[0, 2]).blocks) == 2
+
+
 def test_route1_stack_checks_its_initial_data():
     fields = [brownian_model(4).field.riccati, brownian_model(6).field.riccati]
     with pytest.raises(ValueError, match="initial data of sizes"):
@@ -362,6 +374,13 @@ def test_scheme2_weights_normalize():
         traj, vals = scheme2_transport(lambda y: 0 * y, np.array([0.3 + 0j]), cfg)
         assert traj.status == "completed"
         assert np.allclose(vals, math.exp(0.3), atol=1e-10)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_scheme_config_rejects_a_horizon_that_is_not_finite_and_nonnegative(T):
+    # T = nan made route 1 explode at t = nan; T = inf overflowed route 2's set-up
+    with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+        SchemeConfig(T=T)
 
 
 @pytest.mark.parametrize("N,M", [(0, 80), (80, 0), (-1, 1)])
