@@ -182,11 +182,7 @@ def cmd_bm_quartic(T, K, N, Ms, rk, out, check):
     explosion = {}
     for m_count in Ms:
         cfg = schemes.SchemeConfig(T=T, N=N, M=m_count, steps=1)
-        traj, vals = schemes.scheme2_transport(
-            lambda y: powerseries.R_pow(y, model),
-            u0,
-            cfg,
-        )
+        traj, vals = schemes.scheme2_transport(model.field.riccati, u0, cfg)
         col = [v.real for v in vals] + [float("nan")] * (N + 1 - len(vals))
         columns[m_count] = col
         explosion[m_count] = traj.explosion_time

@@ -141,6 +141,12 @@ class _Terms:
     type (Decimal refuses floats).  Entries no product reaches stay the int
     0, so a real state stays real.  The terms, sorted, stay in ``_raw``, which
     ``stack`` lays end to end.
+
+    ``reach[r]`` is 1 plus the largest state entry, the trailing 1 aside,
+    that the rows below r read (0 when they read none): ``apply(y, rows)``
+    needs y only below ``reach[rows]``, and sums the first ``rows`` rows
+    as a prefix of the k-sorted terms, so each entry keeps the bits of
+    ``apply(y)``'s.
     """
 
     def __init__(self, k, p, q, m, c, scale):
@@ -152,6 +158,10 @@ class _Terms:
         order = np.lexsort((q, p, k))
         k, p, q, m, c = self._raw = k[order], p[order], q[order], m[order], c[order]
         s = np.append(np.asarray(scale, dtype=np.int64), 1)
+        size = len(s) - 1
+        top = np.full(size + 1, -1)  # top[k + 1]: the last entry row k reads
+        np.maximum.at(top, k + 1, np.where(q < size, q, np.where(p < size, p, -1)))
+        self.reach = np.maximum.accumulate(top) + 1
         self._scale = s.astype(object)
         group = np.unique(c, return_inverse=True)[1]
         by = np.argsort(group, kind="stable")  # keeps each group sorted by k
@@ -192,27 +202,38 @@ class _Terms:
         raw = zip(*(block(t, off) for t, off in zip(terms, offsets)))
         return cls(*map(np.concatenate, raw), np.concatenate([t._scale[:-1] for t in terms]))
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Sum the terms at the state y."""
+    def apply(self, y: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """Sum the terms at the state y: every row, or the first ``rows``."""
         if len(y) != self.size:
             raise ValueError(f"mismatched truncations {self.size - 1} vs {len(y) - 1}")
+        if rows is not None and not 0 <= rows <= self.size:
+            raise ValueError(f"rows {rows} outside 0..{self.size}")
         if y.dtype == object:
-            return self._apply_exact(y)
+            return self._apply_exact(y, rows)
+        w, p, q, starts, at = self.w, self.p, self.q, self.starts, self.rows
+        if rows is None:
+            rows = len(y)
+        else:  # the terms, and segments, of the rows below
+            t, s = np.searchsorted(self.k, rows), np.searchsorted(at, rows)
+            w, p, q, starts, at = w[:t], p[:t], q[:t], starts[:s], at[:s]
         ue = np.concatenate((y, _ONE))
-        sums = np.add.reduceat(self.w * ue[self.p] * ue[self.q], self.starts)
-        if len(self.rows) == len(y):  # every row has a term
+        sums = np.add.reduceat(w * ue[p] * ue[q], starts)
+        if len(at) == rows:  # every row has a term
             return sums
-        out = np.zeros(len(y), dtype=np.result_type(self.w, y))
-        out[self.rows] = sums
+        out = np.zeros(rows, dtype=np.result_type(w, y))
+        out[at] = sums
         return out
 
-    def _apply_exact(self, y: np.ndarray) -> np.ndarray:
+    def _apply_exact(self, y: np.ndarray, rows: int | None = None) -> np.ndarray:
+        rows = len(y) if rows is None else rows
         z = self._scale * np.append(y, 1)
         on = z != 0
-        out = np.zeros(len(y), dtype=object)
+        out = np.zeros(rows, dtype=object)
         like = y[on[:-1].argmax()]  # a nonzero entry, if there is one
         exact = (lambda c: c) if isinstance(like, (int, float)) else type(like)
         for c, k, p, q, m in self._groups:
+            t = np.searchsorted(k, rows)
+            k, p, q, m = k[:t], p[:t], q[:t], m[:t]
             keep = on[p] & on[q]
             k, m = k[keep], m[keep]
             prod = z[p[keep]] * z[q[keep]]

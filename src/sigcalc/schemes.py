@@ -211,7 +211,7 @@ def _value_cut(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
 
 
 def scheme2_transport(
-    R_fn: Callable[[np.ndarray], np.ndarray],
+    R_fn: Callable[[np.ndarray], np.ndarray] | _Terms,
     u0: np.ndarray,
     cfg: SchemeConfig,
 ) -> tuple[Trajectory, np.ndarray]:
@@ -224,7 +224,8 @@ def scheme2_transport(
     One mixture serves every lam: exact integer binomials in decimal
     floating point (the standard library's ``decimal``), rounded once to
     double.  lam selects only the half-step arithmetic.  For lam <= 1 the
-    weights are a probability mixture and the half-steps run in complex128.
+    weights are a probability mixture and the half-steps run in complex128;
+    at lam = 0 (T = 0) every weight but u0's is zero and none is taken.
     For lam > 1 the weights alternate in sign and their magnitudes sum to
     (2 lam - 1)^n, so the mixture cancels roughly n log10(2 lam - 1) digits;
     the half-steps then run in ``decimal`` with that many digits to spare and
@@ -235,6 +236,13 @@ def scheme2_transport(
     ``spec.field.riccati.apply`` for tensor models (``R_op`` is not:
     TensorCoeffs holds complex128).  A float, as operand or result, raises
     TypeError.
+
+    R_fn may be the compiled field itself (a ``_Terms``, such as
+    ``model.field.riccati``).  Only u_0 is read, and row k of R reads
+    entries below ``reach[k + 1]``, so at lam > 1 half-step n then
+    evaluates and updates only the rows that can still reach u_0 by grid
+    point N; the rows it keeps hold the bits, and the run the values,
+    explosion time and stats, of the same field passed as ``field.apply``.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value
@@ -261,11 +269,13 @@ def scheme2_transport(
             break
         values.append(v)
     values = np.array(values, dtype=np.complex128)
+    steps = n if cfg.T else 0
     traj = Trajectory(
         times=times[: len(values)],
         states=values,
         explosion_time=float(times[n]) if stop else None,
-        stats={"half_steps": n, "rhs_evals": n, "stop": stop or "completed", **precision},
+        stats={"half_steps": steps, "rhs_evals": steps, "stop": stop or "completed",
+               **precision},
     )
     return traj, values
 
@@ -300,6 +310,8 @@ def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
     the explosion test.  It is entered per grid value, never across a yield,
     so the caller's decimal context is left alone.
     """
+    field = R_fn if isinstance(R_fn, _Terms) else None
+    R_fn = R_fn if field is None else field.apply
     u = np.array(u0, dtype=np.complex128)
     if exact and np.any(u.imag != 0.0):
         raise ValueError(
@@ -324,16 +336,21 @@ def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
     # path the imaginary part; the n = 0 powers are 1 (decimal's 0**0 is NaN)
     g = ([],) if exact else ([], [])
     lam_pow, rest_pow = [Decimal(1)], [Decimal(1)]
+    live = _live_rows(field, cfg.N) if exact and field is not None else None
     for n in range(cfg.N + 1):
+        step = n > 0 and cfg.T > 0  # at T = 0 only u0's value has a weight
         with decimal.localcontext(ctx):
             if exact:
-                if n:
+                if step and live is not None:
+                    r = live[n]
+                    u[:r] = u[:r] + field.apply(u, r) * inv_m
+                elif step:
                     u = _decimal_half_step(R_fn, u, inv_m)
                 g[0].append(u[0].exp())
             else:
                 # a non-finite state stays so, and its value is NaN
                 with np.errstate(all="ignore"):
-                    if n:
+                    if step:
                         u = u + R_fn(u) / cfg.M
                     gn = np.exp(u[0]) if np.all(np.isfinite(u)) else np.nan + 0j
                 g[0].append(Decimal(gn.real))
@@ -346,6 +363,16 @@ def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
         with decimal.localcontext(wide):
             v = [sum(t) for t in terms]
         yield complex(*v)
+
+
+def _live_rows(field: _Terms, N: int) -> list[int]:
+    """live[n]: the rows of the state after half-step n that u_0 after
+    half-step N depends on.  Updating the rows below live[n] reads them and
+    the entries below ``field.reach[live[n]]``, hence the recursion."""
+    live = [1]
+    for _ in range(N):
+        live.append(max(live[-1], int(field.reach[live[-1]])))
+    return live[::-1]
 
 
 def _decimal_half_step(R_fn, u: np.ndarray, inv_m: Decimal) -> np.ndarray:

@@ -229,18 +229,31 @@ def _levy_area_mc(lam, gamma, T, n_paths, steps, seed):
         x1 = np.zeros(nb, dtype=np.float32)
         x2 = np.zeros(nb, dtype=np.float32)
         area = np.zeros(nb, dtype=np.float32)
+        buf = np.empty((6, chunk, nb), dtype=np.float32)
         left = steps
         while left > 0:
             cs = min(chunk, left)
-            d1 = rng.standard_normal((cs, nb), dtype=np.float32) * np.float32(sqrt_dt)
-            d2 = rng.standard_normal((cs, nb), dtype=np.float32) * np.float32(sqrt_dt)
-            c1 = x1 + np.cumsum(d1, axis=0)
-            c2 = x2 + np.cumsum(d2, axis=0)
-            area += 0.5 * np.sum(
-                (c1 - 0.5 * d1) * d2 - (c2 - 0.5 * d2) * d1, axis=0
-            )
-            x1 = c1[-1]
-            x2 = c2[-1]
+            # in place, the float32 operations of (c1 - d1/2) d2 - (c2 - d2/2) d1
+            # with c = x + cumsum(d), in their order
+            d1, d2, c1, c2, a, b = buf[:, :cs]
+            for d in (d1, d2):
+                rng.standard_normal(dtype=np.float32, out=d)
+                d *= np.float32(sqrt_dt)
+            for d, c, x in ((d1, c1, x1), (d2, c2, x2)):
+                c[0] = d[0]  # the cumulative sum, row by row (np.cumsum's order)
+                for i in range(1, cs):
+                    np.add(c[i - 1], d[i], out=c[i])
+                c += x
+            np.multiply(d1, 0.5, out=a)
+            np.subtract(c1, a, out=a)
+            a *= d2
+            np.multiply(d2, 0.5, out=b)
+            np.subtract(c2, b, out=b)
+            b *= d1
+            a -= b
+            area += 0.5 * np.sum(a, axis=0)
+            x1[:] = c1[-1]
+            x2[:] = c2[-1]
             left -= cs
         samples.append(
             np.exp(1j * (lam * area + gamma[0] * x1 + gamma[1] * x2))

@@ -412,3 +412,70 @@ def test_stack_of_one_field_is_that_field():
     s = _Terms.stack([t])
     for name in ("k", "p", "q", "w", "starts", "rows", "_scale"):
         assert np.array_equal(getattr(s, name), getattr(t, name)), name
+
+
+# -- the first rows of a field and the state they read -----------------------------
+
+REACH = {
+    "scalar-brownian-K160": lambda: powerseries.brownian_model(160).field.riccati,
+    "brownian-d1-K67": lambda: brownian_spec(1, 67).field.riccati,  # multiplicities past 2^63
+    "brownian-d2-N6": lambda: brownian_spec(2, 6).field.riccati,
+    "brownian-d3-N4": lambda: brownian_spec(3, 4).field.riccati,
+    "stack": lambda: _Terms.stack([brownian_spec(1, 67).field.riccati,
+                                   FIELDS["scalar-jacobi-K8"]().linear,  # rows without a term
+                                   FIELDS["black-scholes-N3"]().riccati]),
+}
+
+
+def reach_reference(terms):
+    """reach by brute force over the raw terms: the entries each row reads,
+    collected over the rows below r."""
+    k, p, q, _, _ = terms._raw
+    reads = [set() for _ in range(terms.size)]
+    for kk, pp, qq in zip(k.tolist(), p.tolist(), q.tolist()):
+        reads[kk].update(i for i in (pp, qq) if i < terms.size)  # the trailing 1 aside
+    out, below = [0], set()
+    for r in range(terms.size):
+        below |= reads[r]
+        out.append(1 + max(below, default=-1))
+    return out
+
+
+@pytest.mark.parametrize("name", REACH)
+def test_reach_is_the_closure_of_the_raw_terms(name, rng):
+    terms = REACH[name]()
+    assert terms.reach.tolist() == reach_reference(terms)
+    # the rows below r read no entry at or past reach[r]: NaN there changes none
+    y = rng.normal(size=terms.size)
+    for r in range(terms.size + 1):
+        spoilt = y.copy()
+        spoilt[terms.reach[r]:] = np.nan
+        assert terms.apply(spoilt, r).tobytes() == terms.apply(y, r).tobytes()
+
+
+@pytest.mark.parametrize("name", REACH)
+def test_apply_of_the_first_rows_keeps_their_bits(name, rng):
+    terms = REACH[name]()
+    n = terms.size
+    cuts = sorted({0, 1, 2, 3, n // 3, n // 2, n - 1, n})
+    y = rng.normal(size=n) * 0.1
+    y[::5] = 0.0  # entries the object path skips
+    for state in (y, y + 1j * rng.normal(size=n) * 0.1):
+        full = terms.apply(state)
+        for r in cuts:
+            part = terms.apply(state, r)
+            assert part.dtype == full.dtype and part.tobytes() == full[:r].tobytes()
+    with decimal.localcontext(decimal.Context(prec=40)):
+        state = np.array([decimal.Decimal(x) for x in y.tolist()], dtype=object)
+        full = terms.apply(state)
+        for r in cuts:
+            part = terms.apply(state, r)
+            assert part.dtype == object
+            assert [repr(x) for x in part] == [repr(x) for x in full[:r]]
+
+
+@pytest.mark.parametrize("rows", [-1, 22])
+def test_apply_rejects_rows_outside_the_state(rows):
+    terms = powerseries.brownian_model(20).field.riccati
+    with pytest.raises(ValueError, match="outside 0..21"):
+        terms.apply(np.zeros(21), rows)

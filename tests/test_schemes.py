@@ -616,6 +616,85 @@ def test_scheme2_factorial_field_runs_the_decimal_path(K, M):
     assert np.max(np.abs(v_fact - v_mono)) <= 1e-15
 
 
+def _tensor_d2_start():
+    """A real start on the level-6 words of d=2 Brownian motion."""
+    u0 = tensor.TensorCoeffs.zero(2, 6)
+    u0[(1,)], u0[(1, 1)], u0[(2, 2)], u0[(1, 2)] = 0.3, -0.1, -0.1, 0.05
+    return operators.brownian_spec(2, 6).field.riccati, u0.coeffs.real
+
+
+TRANSPORT_FIELDS = {
+    "monomial-K160": lambda: (brownian_model(160).field.riccati,
+                              powerseries.quartic_initial(160)),
+    "factorial-K67": lambda: (operators.brownian_spec(1, 67).field.riccati,
+                              to_factorial_basis(powerseries.quartic_initial(67))),
+    "factorial-K160": lambda: (operators.brownian_spec(1, 160).field.riccati,
+                               to_factorial_basis(powerseries.quartic_initial(160))),
+    "tensor-d2-N6": _tensor_d2_start,
+    # R(u)_0 = 1/2 reads no entry (reach[1] = 0), yet u_0 moves at every step
+    "constant": lambda: (operators._Terms([0], [1], [1], [1], [0.5], [1]), np.array([0.1])),
+}
+
+
+@pytest.mark.parametrize("name, N, M", [
+    ("monomial-K160", 80, 160), ("monomial-K160", 80, 320), ("factorial-K67", 80, 160),
+    ("factorial-K160", 80, 160), ("tensor-d2-N6", 16, 32), ("constant", 16, 32),
+])
+def test_scheme2_field_matches_its_apply(name, N, M):
+    # passed as a field, R evaluates at lam > 1 only the rows that can still
+    # reach u_0; passed as its apply, an opaque callable, all of them.  The
+    # rows kept hold the same bits, so the runs agree in every value, the
+    # explosion time and the stats
+    field, u0 = TRANSPORT_FIELDS[name]()
+    cfg = SchemeConfig(T=1.0, N=N, M=M)
+    full, v_full = scheme2_transport(field.apply, u0, cfg)
+    pruned, v_pruned = scheme2_transport(field, u0, cfg)
+    assert "dps" in pruned.stats  # the decimal path
+    assert v_pruned.tobytes() == v_full.tobytes()
+    assert pruned.times.tobytes() == full.times.tobytes()
+    assert pruned.explosion_time == full.explosion_time
+    assert pruned.stats == full.stats
+
+
+@pytest.mark.parametrize("K, N, M", [(160, 80, 160), (20, 16, 32), (20, 16, 16)])
+def test_scheme2_field_evaluates_the_rows_that_reach_u0(K, N, M, monkeypatch):
+    # Brownian R's row k reads entries up to k + 2, so after half-step n of N
+    # the rows below min(K + 1, 2 (N - n) + 1) can reach u_0 at grid point N
+    # (161, 159, ..., 3, 1 at K = 160, N = 80); at lam <= 1 the float path
+    # evaluates every row
+    seen, apply = [], operators._Terms.apply
+    monkeypatch.setattr(operators._Terms, "apply",
+                        lambda self, y, rows=None: seen.append(rows) or apply(self, y, rows))
+    cfg = SchemeConfig(T=1.0, N=N, M=M)
+    traj, _ = scheme2_transport(brownian_model(K).field.riccati,
+                                powerseries.quartic_initial(K), cfg)
+    taken = traj.stats["half_steps"]
+    assert taken and len(seen) == taken
+    if cfg.transport_lambda > 1:
+        assert seen == [min(K + 1, 2 * (N - n) + 1) for n in range(1, taken + 1)]
+    else:
+        assert seen == [None] * taken
+
+
+@pytest.mark.parametrize("M", [1, 80, 320])
+def test_scheme2_at_T0_takes_no_half_step(M):
+    # lam = 0 gives every half-step's value the weight 0: R is never called,
+    # and every value is exp(u_0)
+    calls, model = [], brownian_model(20)
+
+    def R(y):
+        calls.append(1)
+        return R_pow(y, model)
+
+    u0 = powerseries.quartic_initial(20)
+    u0[0] = 0.25 - 0.5j
+    traj, vals = scheme2_transport(R, u0, SchemeConfig(T=0.0, N=80, M=M))
+    assert calls == []
+    assert traj.stats == {"half_steps": 0, "rhs_evals": 0, "stop": "completed"}
+    assert vals.tobytes() == np.full(81, np.exp(u0[0])).tobytes()
+    assert traj.times.tolist() == [0.0] * 81
+
+
 @pytest.mark.parametrize("M", [20, 40])
 def test_scheme2_stops_half_steps_at_the_cut(M):
     # the value at grid point n needs n half-steps; none is taken past the
