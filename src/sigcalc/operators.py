@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -123,6 +124,7 @@ def black_scholes_spec(sigma: float, s0: float, N: int) -> SdeSpec:
 
 
 _ONE = np.ones(1)  # the trailing 1 that linear terms read
+_COMPLEX = np.dtype(np.complex128)
 
 
 class _Terms:
@@ -144,9 +146,17 @@ class _Terms:
 
     ``reach[r]`` is 1 plus the largest state entry, the trailing 1 aside,
     that the rows below r read (0 when they read none): ``apply(y, rows)``
-    needs y only below ``reach[rows]``, and sums the first ``rows`` rows
-    as a prefix of the k-sorted terms, so each entry keeps the bits of
-    ``apply(y)``'s.
+    returns the first ``rows`` rows, which need y only below
+    ``reach[rows]``, with the bits of ``apply(y)``'s.  On object states it
+    sums only those rows' terms, a prefix of the k-sorted terms.
+
+    ``kernel``, compiled on first use, sums every row at a float or complex
+    state that already carries its trailing 1, the trailing 1's own row
+    included: a row without a term, and that one, reads a zero-weight term
+    of the trailing 1, so one ``reduceat`` fills the whole output and the
+    trailing row's derivative is exactly 0.  Route 1 steps its states of
+    size + 1 entries on it, and ``apply`` on float and complex states runs
+    it on y with a 1 appended.
     """
 
     def __init__(self, k, p, q, m, c, scale):
@@ -202,6 +212,32 @@ class _Terms:
         raw = zip(*(block(t, off) for t, off in zip(terms, offsets)))
         return cls(*map(np.concatenate, raw), np.concatenate([t._scale[:-1] for t in terms]))
 
+    @cached_property
+    def kernel(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The terms summed at a float or complex state ue of size + 1
+        entries, the last of them 1: every row, the trailing one (always 0)
+        included.  One gather reads p and q, and each row sums the products
+        w u_p u_q of its terms in their sorted order.  No check."""
+        one = self.size
+        # rows without a term, the trailing row among them (np.setdiff1d would
+        # import numpy.ma, about 0.9 MB of resident memory)
+        empty = np.flatnonzero(np.bincount(self.rows, minlength=one + 1) == 0)
+        k = np.concatenate((self.k, empty))
+        order = np.argsort(k, kind="stable")  # each row's terms stay in order
+        p, q = (np.concatenate((i, np.full(len(empty), one)))[order] for i in (self.p, self.q))
+        w = np.concatenate((self.w, np.zeros(len(empty), self.w.dtype)))[order]
+        pq, starts = np.concatenate((p, q)), np.flatnonzero(np.diff(k[order], prepend=-1))
+        lo, hi = slice(None, len(k)), slice(len(k), None)
+        # numpy casts real weights to complex for a complex state anyway:
+        # cast once, same bits
+        wc, reduceat = w.astype(np.complex128), np.add.reduceat
+
+        def kernel(ue: np.ndarray) -> np.ndarray:
+            g = ue[pq]
+            return reduceat((wc if ue.dtype is _COMPLEX else w) * g[lo] * g[hi], starts)
+
+        return kernel
+
     def apply(self, y: np.ndarray, rows: int | None = None) -> np.ndarray:
         """Sum the terms at the state y: every row, or the first ``rows``."""
         if len(y) != self.size:
@@ -210,29 +246,22 @@ class _Terms:
             raise ValueError(f"rows {rows} outside 0..{self.size}")
         if y.dtype == object:
             return self._apply_exact(y, rows)
-        w, p, q, starts, at = self.w, self.p, self.q, self.starts, self.rows
-        if rows is None:
-            rows = len(y)
-        else:  # the terms, and segments, of the rows below
-            t, s = np.searchsorted(self.k, rows), np.searchsorted(at, rows)
-            w, p, q, starts, at = w[:t], p[:t], q[:t], starts[:s], at[:s]
-        ue = np.concatenate((y, _ONE))
-        sums = np.add.reduceat(w * ue[p] * ue[q], starts)
-        if len(at) == rows:  # every row has a term
-            return sums
-        out = np.zeros(rows, dtype=np.result_type(w, y))
-        out[at] = sums
-        return out
+        return self.kernel(np.concatenate((y, _ONE)))[: self.size if rows is None else rows]
 
     def _apply_exact(self, y: np.ndarray, rows: int | None = None) -> np.ndarray:
         rows = len(y) if rows is None else rows
-        z = self._scale * np.append(y, 1)
-        on = z != 0
+        r = int(self.reach[rows])  # the rows below read only y[:r] and the 1
+        z = np.empty(len(y) + 1, dtype=object)
+        z[:r], z[-1] = self._scale[:r] * y[:r], 1
+        on = np.zeros(len(z), dtype=bool)
+        on[:r], on[-1] = z[:r] != 0, True
         out = np.zeros(rows, dtype=object)
-        like = y[on[:-1].argmax()]  # a nonzero entry, if there is one
+        like = y[on[:r].argmax() if r else 0]  # a nonzero entry, if there is one
         exact = (lambda c: c) if isinstance(like, (int, float)) else type(like)
         for c, k, p, q, m in self._groups:
             t = np.searchsorted(k, rows)
+            if not t:  # no term of this coefficient in the rows below
+                continue
             k, p, q, m = k[:t], p[:t], q[:t], m[:t]
             keep = on[p] & on[q]
             k, m = k[keep], m[keep]

@@ -20,6 +20,7 @@ step size, so coarse grids are not flagged.
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import math
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ class Trajectory:
 
 
 def ode_integrate(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray] | _Terms,
     y0: np.ndarray,
     cfg: SchemeConfig,
     starts=(0,),
@@ -95,37 +96,56 @@ def ode_integrate(
     must not mix blocks, as a stack of fields (``_Terms.stack``) does not.
     A block stops, flagging explosion, at the first step whose state is not
     finite in it; large finite states are integrated as they are.  The loop
-    ends when every block has stopped or at T.
+    ends when every block has stopped or at T.  At T = 0 the state cannot
+    move: every row is y0 and f is not evaluated.
 
-    Each step's state is a fresh array, copied into its row of one
-    (steps + 1, len(y0)) array of states.  The trajectory returned is the
-    loop's: its times and states run to the last step any block kept, and
-    its ``stats`` count the steps taken, the final non-finite one included.
-    Its ``blocks`` hold one trajectory per block, whose states are the view
-    of the block's columns up to its first non-finite row, with the times,
-    explosion time and stats a separate solve of that block returns."""
+    f is a callable, or a compiled field (a ``_Terms`` of len(y0) entries).
+    A field's states carry its trailing 1, whose derivative is exactly 0,
+    and each stage calls ``f.kernel`` on them: no copy, check or scatter
+    per evaluation.  Either way the step is the same arithmetic, so the
+    field and ``f.apply`` give the same bits.
+
+    Each step's state is a fresh array, copied into its row of one array of
+    states.  The trajectory returned is the loop's: its times and states
+    (len(y0) columns, the trailing 1 dropped) run to the last step any
+    block kept, and its ``stats`` count the steps taken, the final
+    non-finite one included.  Its ``blocks`` hold one trajectory per block,
+    whose states are the view of the block's columns up to its first
+    non-finite row, with the times, explosion time and stats a separate
+    solve of that block returns."""
     y = np.array(y0, dtype=np.complex128)
+    n = len(y)
     starts = np.asarray(starts, dtype=np.intp)
     if not (starts.ndim == 1 and starts.size and starts[0] == 0
-            and np.all(np.diff(starts) > 0) and starts[-1] < len(y)):
+            and np.all(np.diff(starts) > 0) and starts[-1] < n):
         raise ValueError(f"block starts {starts.tolist()} must begin at 0 and "
-                         f"increase strictly below the state's {len(y)} entries")
+                         f"increase strictly below the state's {n} entries")
+    if isinstance(f, _Terms):
+        if f.size != n:
+            raise ValueError(f"initial data of size {n} for a field of size {f.size}")
+        f, y = f.kernel, np.append(y, 1.0)
     h = cfg.T / cfg.steps
     h2, h6 = 0.5 * h, h / 6.0
     Y = np.empty((cfg.steps + 1, len(y)), dtype=np.complex128)
     Y[0] = y
-    with np.errstate(all="ignore"):
-        for k in range(1, cfg.steps + 1):
-            k1 = f(y)
-            k2 = f(y + h2 * k1)
-            k3 = f(y + h2 * k2)
-            k4 = f(y + h * k3)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            Y[k] = y
-            finite = np.isfinite(y)
-            if not finite.all() and not np.logical_and.reduceat(finite, starts).any():
-                Y = Y[: k + 1]
-                break
+    if not h:
+        Y[1:] = y
+    else:
+        with np.errstate(all="ignore"):
+            for k in range(1, cfg.steps + 1):
+                k1 = f(y)
+                k2 = f(y + h2 * k1)
+                k3 = f(y + h2 * k2)
+                k4 = f(y + h * k3)
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                Y[k] = y
+                # the sum is not finite when an entry is not (nor, rarely,
+                # when finite entries overflow it): then test every block
+                if (not cmath.isfinite(y.sum())
+                        and not np.logical_and.reduceat(np.isfinite(y), starts).any()):
+                    Y = Y[: k + 1]
+                    break
+    Y = Y[:, :n]
     times = np.append(0.0, np.arange(len(Y) - 1) * h + h)
     # rows kept per block: up to its first non-finite row after row 0 (a
     # non-finite entry stays so), or all of them
@@ -135,27 +155,30 @@ def ode_integrate(
     def record(r: int, states: np.ndarray, max_abs_state: float, blocks=None) -> Trajectory:
         """The first r rows; fewer than all of them end in an explosion."""
         explosion_time = float(times[r]) if r < len(Y) else None
-        steps = min(r, cfg.steps)
+        steps = min(r, cfg.steps) if h else 0
         stats = {"steps": steps, "rhs_evals": 4 * steps, "max_abs_state": max_abs_state,
                  "stop": "completed" if explosion_time is None else "non-finite state"}
         return Trajectory(times[:r], states, explosion_time, stats, blocks)
 
     blocks = [record(r, Y[:r, lo:hi], float(np.abs(Y[:r, lo:hi]).max()))
-              for r, lo, hi in zip(kept, starts.tolist(), [*starts[1:].tolist(), len(y)])]
+              for r, lo, hi in zip(kept, starts.tolist(), [*starts[1:].tolist(), n])]
     r = max(kept)
     return record(r, Y[:r], max(b.stats["max_abs_state"] for b in blocks), blocks)
 
 
 def scheme1_riccati(
-    R_fn: Callable[[np.ndarray], np.ndarray],
+    R_fn: Callable[[np.ndarray], np.ndarray] | _Terms,
     u0: np.ndarray,
     cfg: SchemeConfig,
 ) -> tuple[Trajectory, np.ndarray]:
     """Route 1: solve du/dt = R(u) truncated, return exp of the scalar slot.
 
-    The scalar (empty-word / degree-zero) coefficient is assumed to sit at
-    index 0 of the flat state, which holds for both coefficient layouts.
-    One problem is the one-block case of ``scheme1_stack``'s loop.
+    R_fn is the compiled field (such as ``spec.field.riccati``), which the
+    loop steps through its kernel, or any callable on the flat state; the
+    field and its ``apply`` give the same bits.  The scalar (empty-word /
+    degree-zero) coefficient is assumed to sit at index 0 of the flat
+    state, which holds for both coefficient layouts.  One problem is the
+    one-block case of ``scheme1_stack``'s loop.
 
     Explosion is reported at the first step whose state or value exp(u_0)
     is non-finite.  Non-finiteness does not depend on the basis (up to the
@@ -174,19 +197,20 @@ def scheme1_stack(
     cfg: SchemeConfig,
 ) -> list[tuple[Trajectory, np.ndarray]]:
     """Route 1 on independent problems at once: the compiled fields (such as
-    ``model.field.riccati``) are stacked block-diagonally and integrated
-    from their initial data in one RK4 loop, which ends when every block
-    has stopped or at T.  Returns one (Trajectory, values) per field, each
-    with the bits, explosion time and stats of ``scheme1_riccati(field.apply,
-    u0, cfg)``: the "non-finite value" cut is made per block.  Small fields
-    cost the loop's per-step overhead once for the whole stack."""
+    ``model.field.riccati``) are stacked block-diagonally, and the stack is
+    integrated from their initial data in one RK4 loop, which ends when
+    every block has stopped or at T.  Returns one (Trajectory, values) per
+    field, each with the bits, explosion time and stats of
+    ``scheme1_riccati(field, u0, cfg)``: the "non-finite value" cut is made
+    per block.  Small fields cost the loop's per-step overhead once for the
+    whole stack."""
     sizes = [len(u) for u in u0s]
     if sizes != [t.size for t in fields]:
         raise ValueError(f"initial data of sizes {sizes} for fields of sizes "
                          f"{[t.size for t in fields]}")
     if not fields:
         return []
-    traj = ode_integrate(_Terms.stack(fields).apply, np.concatenate(u0s), cfg,
+    traj = ode_integrate(_Terms.stack(fields), np.concatenate(u0s), cfg,
                          np.cumsum([0] + sizes[:-1]))
     return [_value_cut(b) for b in traj.blocks]
 

@@ -304,6 +304,23 @@ def test_terms_apply_zero_fills_rows_without_a_term(name, rng):
         assert np.all(got[missing] == 0)
 
 
+@pytest.mark.parametrize("name", ["brownian-d2-N2", "black-scholes-N3", "scalar-jacobi-K8"])
+def test_terms_apply_fills_rows_without_a_term_with_zeros_of_the_result_type(name, rng):
+    # the kernel gives each such row, and the trailing 1's own, a zero-weight
+    # term of the trailing 1: +0 of result_type(w, y), whatever y holds
+    terms = FIELDS[name]().linear
+    missing = np.setdiff1d(np.arange(terms.size), terms.rows)
+    y = rng.normal(size=terms.size)
+    y[::2] = np.nan
+    for state in (y, y.astype(np.float32), y + 1j * rng.normal(size=terms.size)):
+        got = terms.apply(state)
+        dtype = np.result_type(terms.w, state)
+        assert got.dtype == dtype
+        assert got[missing].tobytes() == np.zeros(len(missing), dtype).tobytes()
+        full = terms.kernel(np.append(state, 1.0))
+        assert full.tobytes() == np.append(got, dtype.type(0)).tobytes()
+
+
 def test_terms_apply_keeps_the_state_dtype(rng):
     # real models, on both paths: Brownian R reaches every row, the other
     # term sets leave rows without a term
@@ -472,6 +489,41 @@ def test_apply_of_the_first_rows_keeps_their_bits(name, rng):
             part = terms.apply(state, r)
             assert part.dtype == object
             assert [repr(x) for x in part] == [repr(x) for x in full[:r]]
+
+
+class _Untouchable:
+    """A state entry that raises on any arithmetic or comparison."""
+
+    def _refuse(self, *args):
+        raise AssertionError("an entry past reach[rows] was read")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __neg__ = __abs__ = __bool__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __hash__ = None
+
+
+@pytest.mark.parametrize("name", ["scalar-brownian-K160", "brownian-d1-K67", "brownian-d3-N4"])
+def test_apply_of_the_first_rows_touches_no_entry_past_their_reach(name, rng):
+    # the object path scales and tests for zero only y[:reach[rows]]
+    terms = REACH[name]()
+    n = terms.size
+    with decimal.localcontext(decimal.Context(prec=40)):
+        y = np.array([decimal.Decimal(x) for x in (rng.normal(size=n) * 0.1).tolist()],
+                     dtype=object)
+        y[1::4] = decimal.Decimal(0)
+        full = terms.apply(y)
+        checked = 0
+        for rows in range(n + 1):
+            r = terms.reach[rows]
+            if r == n:
+                break
+            spoilt = y.copy()
+            spoilt[r:] = [_Untouchable() for _ in range(n - r)]
+            part = terms.apply(spoilt, rows)
+            assert [repr(x) for x in part] == [repr(x) for x in full[:rows]]
+            checked += 1
+        assert checked >= 2
 
 
 @pytest.mark.parametrize("rows", [-1, 22])

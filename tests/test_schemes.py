@@ -354,6 +354,91 @@ def test_ode_integrate_checks_its_block_starts(starts):
                              starts=[0, 2]).blocks) == 2
 
 
+# -- route 1 on the compiled field's kernel ------------------------------------------
+
+
+def _kernel_case(name):
+    """(fields, initial data) of a route 1 solve on compiled fields: one
+    field, or a stack of them."""
+    if name == "levy-d2-N2":
+        return [operators.brownian_spec(2, 2).field.riccati], [_levy_u0(1.5, 1.2, 0.5)]
+    if name == "gbm-bases-K20-jacobi-L":  # with a block whose rows lack terms
+        u0 = powerseries.gbm_laplace_initial(1.0, 1.0, 20)
+        jacobi = powerseries.jacobi_model(8).field.linear
+        assert len(jacobi.rows) < jacobi.size
+        return ([brownian_model(20).field.riccati, operators.brownian_spec(1, 20).field.riccati,
+                 jacobi], [u0, to_factorial_basis(u0), powerseries.mgf_initial_block([1.3], 8)[:, 0]])
+    if name == "quartic-K10-20-40":
+        Ks = (10, 20, 40)
+        return ([brownian_model(K).field.riccati for K in Ks],
+                [powerseries.quartic_initial(K) for K in Ks])
+    if name == "complex-weights":  # complex drift: the weights are complex
+        skew = powerseries.Model1D(b=powerseries._poly(6, 0.3j, 0.5),
+                                   a=powerseries._poly(6, 1.0, 0.2), x0=0.0)
+        assert skew.field.riccati.w.dtype == np.complex128
+        return ([skew.field.riccati, brownian_model(10).field.riccati],
+                [delta(1, 6, 0.4 - 0.2j), delta(1, 10, 0.3)])
+    # multiplicities past 2^63: C(67, 33) > 2^63
+    u0 = to_factorial_basis(powerseries.gbm_laplace_initial(0.5, 1.0, 67))
+    return [operators.brownian_spec(1, 67).field.riccati], [u0]
+
+
+@pytest.mark.parametrize("case", ["levy-d2-N2", "gbm-bases-K20-jacobi-L", "quartic-K10-20-40",
+                                  "complex-weights", "factorial-d1-K67"])
+def test_route1_on_a_field_has_the_bits_of_its_apply_and_of_the_reference(case):
+    fields, u0s = _kernel_case(case)
+    cfg = SchemeConfig(T=1.0, steps=1000)
+    field = fields[0] if len(fields) == 1 else operators._Terms.stack(fields)
+    y0, starts = np.concatenate(u0s), np.cumsum([0] + [len(u) for u in u0s[:-1]])
+    got, called = (ode_integrate(f, y0, cfg, starts) for f in (field, field.apply))
+    assert got.states.tobytes() == called.states.tobytes()
+    assert got.times.tobytes() == called.times.tobytes()
+    assert (got.explosion_time, got.stats) == (called.explosion_time, called.stats)
+    for block, sub, u0 in zip(got.blocks, fields, u0s):
+        ref = ode_integrate_reference(sub.apply, u0, cfg)
+        assert block.states.tobytes() == np.array(ref.states).tobytes()
+        assert block.times.tobytes() == ref.times.tobytes()
+        assert (block.status, block.explosion_time) == (ref.status, ref.explosion_time)
+    stops = {"quartic-K10-20-40": ["completed", "completed", "exploded"],
+             "factorial-d1-K67": ["exploded"]}  # its state overflows at t = 0.59
+    assert [b.status for b in got.blocks] == stops.get(case, ["completed"] * len(fields))
+    if case == "quartic-K10-20-40":
+        cut = scheme1_riccati(fields[2], u0s[2], cfg)[0]  # the value overflows first
+        assert 0.505 < cut.explosion_time < 0.52 and cut.stats["stop"] == "non-finite value"
+
+
+def test_ode_integrate_checks_a_fields_size():
+    field = brownian_model(4).field.riccati
+    with pytest.raises(ValueError, match="initial data of size 6 for a field of size 5"):
+        ode_integrate(field, delta(1, 5), SchemeConfig(T=1.0))
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_route1_at_T0_takes_no_step(T):
+    # h = 0 cannot move the state: every row is y0 and f is never called;
+    # at T > 0 the same solve calls f four times a step
+    calls, model = [], brownian_model(20)
+
+    def R(y):
+        calls.append(1)
+        return R_pow(y, model)
+
+    u0 = powerseries.gbm_laplace_initial(1.0, 1.0, 20)
+    cfg = SchemeConfig(T=T, steps=50)
+    traj, vals = scheme1_riccati(R, u0, cfg)
+    for f in (R, model.field.riccati):
+        again = ode_integrate(f, u0, cfg)
+        assert again.states.tobytes() == traj.states.tobytes() and again.stats == traj.stats
+    evals = 0 if T == 0 else 4 * cfg.steps
+    assert len(calls) == 2 * evals
+    assert (traj.stats["steps"], traj.stats["rhs_evals"]) == (evals // 4, evals)
+    assert traj.status == "completed" and len(traj.times) == cfg.steps + 1
+    if T == 0:
+        assert traj.states.tobytes() == np.tile(u0, (cfg.steps + 1, 1)).tobytes()
+        assert vals.tobytes() == np.full(cfg.steps + 1, np.exp(u0[0])).tobytes()
+        assert traj.times.tolist() == [0.0] * (cfg.steps + 1)
+
+
 def test_route1_stack_checks_its_initial_data():
     fields = [brownian_model(4).field.riccati, brownian_model(6).field.riccati]
     with pytest.raises(ValueError, match="initial data of sizes"):
