@@ -229,8 +229,9 @@ class _Terms:
         pq, starts = np.concatenate((p, q)), np.flatnonzero(np.diff(k[order], prepend=-1))
         lo, hi = slice(None, len(k)), slice(len(k), None)
         # numpy casts real weights to complex for a complex state anyway:
-        # cast once, same bits
-        wc, reduceat = w.astype(np.complex128), np.add.reduceat
+        # cast once, same bits; a float state reads the real view of the cast
+        wc, reduceat = w.astype(np.complex128, copy=False), np.add.reduceat
+        w = w if np.iscomplexobj(w) else wc.real
 
         def kernel(ue: np.ndarray) -> np.ndarray:
             g = ue[pq]

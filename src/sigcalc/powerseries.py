@@ -121,8 +121,9 @@ def _scalar_terms(b: np.ndarray, a: np.ndarray, quadratic: bool) -> _Terms:
 
 def R_pow(u: np.ndarray, m: Model1D) -> np.ndarray:
     """Quadratic operator in the monomial basis,
-    b conv u' + (1/2) a conv (u'' + u' conv u'), read from the model's field;
-    its linear part b conv u' + (1/2) a conv u'' is ``m.field.linear.apply``."""
+    b conv u' + (1/2) a conv (u'' + u' conv u'): ``m.field.riccati.apply``
+    (route 2 takes ``m.field.riccati`` itself); its linear part
+    b conv u' + (1/2) a conv u'' is ``m.field.linear.apply``."""
     return m.field.riccati.apply(u)
 
 

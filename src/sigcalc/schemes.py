@@ -5,7 +5,7 @@ Three routes to E[exp(<u, X_T>)] and E[<u, X_T>]:
 1. integrate the truncated quadratic (Riccati-type) coefficient ODE and
    exponentiate its scalar part;
 2. a binomial transport mixture built from repeated explicit half-steps of
-   the quadratic operator, which postpones blow-up of route 1;
+   the compiled quadratic field, which postpones blow-up of route 1;
 3. exponentiate the linear operator when it preserves the truncation: a dense
    matrix exponential, or a sparse action for expected signatures.
 
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import count
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -235,38 +235,33 @@ def _value_cut(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
 
 
 def scheme2_transport(
-    R_fn: Callable[[np.ndarray], np.ndarray] | _Terms,
+    field: _Terms,
     u0: np.ndarray,
     cfg: SchemeConfig,
 ) -> tuple[Trajectory, np.ndarray]:
-    """Route 2: binomial mixture of repeated explicit half-steps.
+    """Route 2: binomial mixture of repeated explicit half-steps of the
+    compiled field R, a ``_Terms`` of len(u0) entries such as
+    ``model.field.riccati`` (anything else raises TypeError).
 
     With lam = M T / N and A(u) = u + R(u)/M applied m times,
 
         v(T n / N) = sum_m C(n, m) (1-lam)^(n-m) lam^m exp(A^m(u)_0).
 
     One mixture serves every lam: exact integer binomials in decimal
-    floating point (the standard library's ``decimal``), rounded once to
-    double.  lam selects only the half-step arithmetic.  For lam <= 1 the
-    weights are a probability mixture and the half-steps run in complex128;
+    floating point (the standard library's ``decimal``), each sum taken 40
+    digits wider than its terms and rounded once to double.  lam selects
+    only the half-step arithmetic.  For lam <= 1 the weights are a
+    probability mixture and the half-steps run in complex128 on every row;
     at lam = 0 (T = 0) every weight but u0's is zero and none is taken.
     For lam > 1 the weights alternate in sign and their magnitudes sum to
     (2 lam - 1)^n, so the mixture cancels roughly n log10(2 lam - 1) digits;
-    the half-steps then run in ``decimal`` with that many digits to spare and
-    exact integer binomials inside R.  There the state must be real (a
-    complex state raises ValueError), and R_fn receives an object array of
-    Decimals and must return one of exact scalars, int or Decimal.  A
-    compiled field does: ``R_pow`` for scalar models, and
-    ``spec.field.riccati.apply`` for tensor models (``R_op`` is not:
-    TensorCoeffs holds complex128).  A float, as operand or result, raises
-    TypeError.
-
-    R_fn may be the compiled field itself (a ``_Terms``, such as
-    ``model.field.riccati``).  Only u_0 is read, and row k of R reads
-    entries below ``reach[k + 1]``, so at lam > 1 half-step n then
-    evaluates and updates only the rows that can still reach u_0 by grid
-    point N; the rows it keeps hold the bits, and the run the values,
-    explosion time and stats, of the same field passed as ``field.apply``.
+    the half-steps then run in ``decimal`` with that many digits to spare,
+    on a real state (a complex one raises ValueError).  Only u_0 is read,
+    and row k of R reads entries below ``reach[k + 1]``, so half-step n
+    updates only the rows that can still reach u_0 by grid point N, with
+    the bits of a full evaluation.  The decimal contexts return infinities
+    and NaNs instead of raising, and are entered per grid value, so the
+    caller's context is left alone.
 
     Explosion is flagged at the first grid point whose value is non-finite,
     exceeds 1e10 in magnitude, or breaks the smoothness of the value
@@ -275,19 +270,69 @@ def scheme2_transport(
     and the smoothness test catches that onset.  Each value is tested as
     soon as its half-step lands, and no half-step is taken past the cut.
     """
+    if not isinstance(field, _Terms):
+        raise TypeError("route 2 takes a compiled field (a _Terms, such as "
+                        f"model.field.riccati), not {type(field).__name__}")
+    u = np.array(u0, dtype=np.complex128)
+    if field.size != len(u):
+        raise ValueError(f"initial data of size {len(u)} for a field of size {field.size}")
     lam = cfg.transport_lambda
-    if lam > 1.0 + 1e-12:
+    exact = lam > 1.0 + 1e-12
+    if exact:
+        if np.any(u.imag != 0.0):
+            raise ValueError(
+                "at lam > 1 the transport runs in decimal arithmetic, which has "
+                "no complex type: the state must be real"
+            )
         cancel = cfg.N * math.log10(2.0 * lam - 1.0)
         dps = max(30, int(math.ceil(cancel)) + 30)
         precision = {"dps": dps, "predicted_cancellation_digits": cancel}
     else:
         dps, precision = 30, {}
-    values_iter = _transport_values(R_fn, u0, cfg, dps, exact=bool(precision))
+    ctx = decimal.Context(
+        prec=dps,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.DivisionByZero],
+    )
+    wide = ctx.copy()
+    wide.prec = dps + 40
+    with decimal.localcontext(ctx):
+        if exact:
+            u = np.array([Decimal(x) for x in u.real.tolist()], dtype=object)
+            live = _live_rows(field, cfg.N)
+        lam_d = Decimal(cfg.T) * cfg.M / cfg.N
+        one_minus = 1 - lam_d
+        inv_m = Decimal(1) / cfg.M
+    # one list of values per part summed: the real part, and on the float
+    # path the imaginary part; the n = 0 powers are 1 (decimal's 0**0 is NaN)
+    g = ([],) if exact else ([], [])
+    lam_pow, rest_pow = [Decimal(1)], [Decimal(1)]
     times = cfg.T * np.arange(cfg.N + 1) / cfg.N
-    values = []
-    stop = None
-    for n, v in enumerate(values_iter):
-        v = np.complex128(v)
+    values, stop = [], None
+    for n in range(cfg.N + 1):
+        step = n > 0 and cfg.T > 0  # at T = 0 only u0's value has a weight
+        with decimal.localcontext(ctx):
+            if exact:
+                if step:
+                    r = live[n]
+                    u[:r] = u[:r] + field.apply(u, r) * inv_m
+                g[0].append(u[0].exp())
+            else:
+                # a non-finite state stays so, and its value is NaN
+                with np.errstate(all="ignore"):
+                    if step:
+                        u = u + field.apply(u) / cfg.M
+                    gn = np.exp(u[0]) if np.all(np.isfinite(u)) else np.nan + 0j
+                g[0].append(Decimal(gn.real))
+                g[1].append(Decimal(gn.imag))
+            if n:
+                lam_pow.append(lam_d**n)
+                rest_pow.append(one_minus**n)
+            w = [math.comb(n, m) * rest_pow[n - m] * lam_pow[m] for m in range(n + 1)]
+            terms = [[wm * x for wm, x in zip(w, part) if wm] for part in g]
+        with decimal.localcontext(wide):
+            v = np.complex128(complex(*[sum(t) for t in terms]))
         stop = _transport_cut(v, values)
         if stop:
             break
@@ -321,74 +366,6 @@ def _transport_cut(v: np.complex128, kept: list) -> str | None:
         return None
 
 
-def _transport_values(R_fn, u0, cfg: SchemeConfig, dps: int,
-                      exact: bool) -> Iterator[complex]:
-    """The transport mixture, one grid value per half-step.
-
-    The half-step u + R(u)/M runs in complex128 or, when ``exact``, in
-    ``decimal`` at ``dps`` digits.  Either way each mixture term is formed at
-    ``dps`` digits, zero weights skipped, and each sum 40 digits wider, then
-    rounded once to double; the decimal path sums the real part only.  The
-    context has the widest exponent range and returns infinities and NaNs
-    instead of raising, so an overflowing exp(u_0) is a non-finite value for
-    the explosion test.  It is entered per grid value, never across a yield,
-    so the caller's decimal context is left alone.
-    """
-    field = R_fn if isinstance(R_fn, _Terms) else None
-    R_fn = R_fn if field is None else field.apply
-    u = np.array(u0, dtype=np.complex128)
-    if exact and np.any(u.imag != 0.0):
-        raise ValueError(
-            "at lam > 1 the transport runs in decimal arithmetic, which has "
-            "no complex type: the state must be real"
-        )
-    ctx = decimal.Context(
-        prec=dps,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.DivisionByZero],
-    )
-    wide = ctx.copy()
-    wide.prec = dps + 40
-    with decimal.localcontext(ctx):
-        if exact:
-            u = np.array([Decimal(x) for x in u.real.tolist()], dtype=object)
-        lam_d = Decimal(cfg.T) * cfg.M / cfg.N
-        one_minus = 1 - lam_d
-        inv_m = Decimal(1) / cfg.M
-    # one list of values per part summed: the real part, and on the float
-    # path the imaginary part; the n = 0 powers are 1 (decimal's 0**0 is NaN)
-    g = ([],) if exact else ([], [])
-    lam_pow, rest_pow = [Decimal(1)], [Decimal(1)]
-    live = _live_rows(field, cfg.N) if exact and field is not None else None
-    for n in range(cfg.N + 1):
-        step = n > 0 and cfg.T > 0  # at T = 0 only u0's value has a weight
-        with decimal.localcontext(ctx):
-            if exact:
-                if step and live is not None:
-                    r = live[n]
-                    u[:r] = u[:r] + field.apply(u, r) * inv_m
-                elif step:
-                    u = _decimal_half_step(R_fn, u, inv_m)
-                g[0].append(u[0].exp())
-            else:
-                # a non-finite state stays so, and its value is NaN
-                with np.errstate(all="ignore"):
-                    if step:
-                        u = u + R_fn(u) / cfg.M
-                    gn = np.exp(u[0]) if np.all(np.isfinite(u)) else np.nan + 0j
-                g[0].append(Decimal(gn.real))
-                g[1].append(Decimal(gn.imag))
-            if n:
-                lam_pow.append(lam_d**n)
-                rest_pow.append(one_minus**n)
-            w = [math.comb(n, m) * rest_pow[n - m] * lam_pow[m] for m in range(n + 1)]
-            terms = [[wm * x for wm, x in zip(w, part) if wm] for part in g]
-        with decimal.localcontext(wide):
-            v = [sum(t) for t in terms]
-        yield complex(*v)
-
-
 def _live_rows(field: _Terms, N: int) -> list[int]:
     """live[n]: the rows of the state after half-step n that u_0 after
     half-step N depends on.  Updating the rows below live[n] reads them and
@@ -397,23 +374,6 @@ def _live_rows(field: _Terms, N: int) -> list[int]:
     for _ in range(N):
         live.append(max(live[-1], int(field.reach[live[-1]])))
     return live[::-1]
-
-
-def _decimal_half_step(R_fn, u: np.ndarray, inv_m: Decimal) -> np.ndarray:
-    """u + R(u)/M with R run in the current decimal context."""
-    try:
-        r = R_fn(u)
-        if getattr(r, "dtype", None) == object:
-            return u + r * inv_m
-    except TypeError as exc:
-        raise TypeError(
-            "at lam > 1 the transport runs R_fn in decimal arithmetic, which "
-            f"takes exact scalars (int or Decimal), not float: {exc}"
-        ) from exc
-    raise TypeError(
-        f"R_fn returned {getattr(r, 'dtype', type(r))}, not an object "
-        "array: at lam > 1 R must run in the mixture's decimal precision"
-    )
 
 
 def scheme3_linear(

@@ -97,9 +97,7 @@ def test_quartic_transport_and_direct_ode(capsys):
     exp_times = {}
     for M in (80, 160, 320):
         cfg = SchemeConfig(T=T, N=N, M=M, steps=1)
-        traj, vals = scheme2_transport(
-            lambda y: R_pow(y, model), u0, cfg
-        )
+        traj, vals = scheme2_transport(model.field.riccati, u0, cfg)
         rel_errs[M] = max(
             abs(v.real - r) / abs(r) for v, r in zip(vals, refs)
         )

@@ -456,7 +456,8 @@ def test_scheme2_weights_normalize():
     # any lambda, including sign-alternating weights
     for N, M in ((10, 5), (10, 10), (10, 30)):
         cfg = SchemeConfig(T=1.0, N=N, M=M)
-        traj, vals = scheme2_transport(lambda y: 0 * y, np.array([0.3 + 0j]), cfg)
+        traj, vals = scheme2_transport(operators._Terms([], [], [], [], [], [1]),
+                                       np.array([0.3 + 0j]), cfg)
         assert traj.status == "completed"
         assert np.allclose(vals, math.exp(0.3), atol=1e-10)
 
@@ -481,7 +482,7 @@ def test_scheme2_lambda_one_is_euler():
     theta = 0.7
     u0 = delta(1, K, theta)
     cfg = SchemeConfig(T=T, N=N, M=N)
-    traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
+    traj, vals = scheme2_transport(brownian_model(K).field.riccati, u0, cfg)
     R = brownian_R(K)
     u = u0.astype(complex)
     direct = [np.exp(u[0])]
@@ -523,7 +524,8 @@ def test_scheme2_float_path_is_the_rounded_mixture(K, N, M, u0):
     # at lam <= 1 the mixture of the float half-steps is rounded once: each
     # part within 1 ulp of the 60-digit mixture (log-space float weights
     # missed it by 20 to 83 ulp)
-    _, vals = scheme2_transport(brownian_R(K), u0, SchemeConfig(T=1.0, N=N, M=M))
+    _, vals = scheme2_transport(brownian_model(K).field.riccati, u0,
+                                SchemeConfig(T=1.0, N=N, M=M))
     ref = float_mixture_referee(brownian_R(K), u0, N, M, 1.0, len(vals))
     for v, r in zip(vals, ref):
         for got, want in ((v.real, r.real), (v.imag, r.imag)):
@@ -537,7 +539,7 @@ def test_scheme2_brownian_mgf_all_lambda(M, N):
     K, T, theta = 12, 1.0, 0.8
     u0 = delta(1, K, theta)
     cfg = SchemeConfig(T=T, N=N, M=M)
-    traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
+    traj, vals = scheme2_transport(brownian_model(K).field.riccati, u0, cfg)
     assert traj.status == "completed"
     times = np.linspace(0.0, T, N + 1)
     refs = np.exp(theta**2 * times / 2.0)
@@ -553,7 +555,7 @@ def test_scheme2_refinement_converges():
     errs = []
     for N in (10, 20, 40):
         cfg = SchemeConfig(T=T, N=N, M=N)
-        traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
+        traj, vals = scheme2_transport(brownian_model(K).field.riccati, u0, cfg)
         assert traj.status == "completed"
         errs.append(abs(vals[-1] - ref))
     assert errs[2] < errs[1] < errs[0]
@@ -561,11 +563,9 @@ def test_scheme2_refinement_converges():
 
 
 def test_scheme2_smoothness_detector():
-    # a flow engineered to produce one wild grid value is cut there
-    def R(y):
-        out = 0.0 * y
-        out[0] = 40.0 * y[0] * y[0]  # scalar riccati: blows up at t=1/(40*y0)
-        return out
+    # a flow engineered to produce one wild grid value is cut there: the
+    # scalar riccati R(u)_0 = 40 u_0^2, which blows up at t = 1/(40 u_0)
+    R = operators._Terms([0], [0], [0], [40], [1.0], [1])
 
     # lam = 1, so the value at t = n/20 is exp(A^n(1)) with A(u) = u + 2u^2:
     # e, e^3 ~ 20.09, then e^21 ~ 1.3e9.  That is below the 1e10 magnitude
@@ -583,8 +583,7 @@ def test_scheme2_stats_completed_and_magnitude_cut():
     # lam = 1 and R = 1: the value at t = n/20 is exp(u0 + n/20).  From
     # u0 = 0 it stays smooth and small; from u0 = 22.9 it passes 1e10 at
     # n = 3 (e^23.05) while every second difference stays below 1%
-    def R(y):
-        return np.ones_like(y)
+    R = operators._Terms([0], [1], [1], [1], [1.0], [1])
 
     cfg = SchemeConfig(T=1.0, N=20, M=20)
     traj, _ = scheme2_transport(R, np.array([0.0 + 0j]), cfg)
@@ -646,7 +645,8 @@ def test_scheme2_mp_path_matches_exact_referee(M):
     # lam = M T / N = 2 and 4: the extended-precision path, bit for bit
     K, N, T = 16, 8, 1.0
     traj, vals = scheme2_transport(
-        brownian_R(K), powerseries.quartic_initial(K), SchemeConfig(T=T, N=N, M=M)
+        brownian_model(K).field.riccati, powerseries.quartic_initial(K),
+        SchemeConfig(T=T, N=N, M=M),
     )
     assert traj.status == "completed"
     assert not np.any(vals.imag)
@@ -659,7 +659,8 @@ def test_scheme2_mp_path_matches_exact_referee_at_high_degree():
     # rounded to double, values miss the referee by up to 6.8e-13
     K, N, M, T = 128, 64, 128, 1.0
     _, vals = scheme2_transport(
-        brownian_R(K), powerseries.quartic_initial(K), SchemeConfig(T=T, N=N, M=M)
+        brownian_model(K).field.riccati, powerseries.quartic_initial(K),
+        SchemeConfig(T=T, N=N, M=M),
     )
     ref = quartic_transport_referee(K, N, M, T)
     assert len(vals) == N + 1
@@ -668,17 +669,20 @@ def test_scheme2_mp_path_matches_exact_referee_at_high_degree():
 
 
 def test_scheme2_mp_path_rejects_float_field():
-    # R_op casts to complex128, so at lam > 1 it would evaluate R in float64
-    # inside the arithmetic meant to absorb the mixture's cancellation
+    # route 2 takes the compiled field only, whose terms the decimal path
+    # reads exactly; a callable, the field's own apply among them, could
+    # evaluate R in float64 inside the arithmetic meant to absorb the
+    # mixture's cancellation
     K, N, M, T = 12, 8, 16, 1.0
     u0 = delta(1, K, 0.8)
     cfg = SchemeConfig(T=T, N=N, M=M)
-    with pytest.raises(TypeError, match="object"):
-        scheme2_transport(brownian_R_d1(K), to_factorial_basis(u0), cfg)
-    # a float operand inside R meets a Decimal, which refuses it
-    with pytest.raises(TypeError, match=r"exact scalars \(int or Decimal\)"):
-        scheme2_transport(lambda y: 0.5 * y, u0, cfg)
-    traj, vals = scheme2_transport(brownian_R(K), u0, cfg)
+    field = brownian_model(K).field.riccati
+    for R in (brownian_R(K), field.apply, brownian_R_d1(K)):
+        with pytest.raises(TypeError, match="compiled field"):
+            scheme2_transport(R, u0, cfg)
+    with pytest.raises(ValueError, match=f"initial data of size {K} for a field of size {K + 1}"):
+        scheme2_transport(field, u0[:-1], cfg)
+    traj, vals = scheme2_transport(field, u0, cfg)
     assert traj.status == "completed"
     refs = np.exp(0.8**2 * np.linspace(0.0, T, N + 1) / 2.0)
     assert np.max(np.abs(vals - refs) / refs) < 5e-3
@@ -692,9 +696,9 @@ def test_scheme2_factorial_field_runs_the_decimal_path(K, M):
     # the monomial basis's grid and values
     cfg = SchemeConfig(T=1.0, N=80, M=M)
     u0 = powerseries.quartic_initial(K)
-    mono, v_mono = scheme2_transport(brownian_R(K), u0, cfg)
+    mono, v_mono = scheme2_transport(brownian_model(K).field.riccati, u0, cfg)
     fact, v_fact = scheme2_transport(
-        operators.brownian_spec(1, K).field.riccati.apply, to_factorial_basis(u0), cfg
+        operators.brownian_spec(1, K).field.riccati, to_factorial_basis(u0), cfg
     )
     assert fact.explosion_time == mono.explosion_time < cfg.T
     assert len(v_fact) == len(v_mono)
@@ -725,15 +729,18 @@ TRANSPORT_FIELDS = {
     ("monomial-K160", 80, 160), ("monomial-K160", 80, 320), ("factorial-K67", 80, 160),
     ("factorial-K160", 80, 160), ("tensor-d2-N6", 16, 32), ("constant", 16, 32),
 ])
-def test_scheme2_field_matches_its_apply(name, N, M):
-    # passed as a field, R evaluates at lam > 1 only the rows that can still
-    # reach u_0; passed as its apply, an opaque callable, all of them.  The
-    # rows kept hold the same bits, so the runs agree in every value, the
-    # explosion time and the stats
+def test_scheme2_field_matches_its_apply(name, N, M, monkeypatch):
+    # at lam > 1 R evaluates only the rows that can still reach u_0; with
+    # every row live it evaluates all of them.  The rows kept hold the same
+    # bits, so the runs agree in every value, the explosion time and the
+    # stats
+    from sigcalc import schemes
+
     field, u0 = TRANSPORT_FIELDS[name]()
     cfg = SchemeConfig(T=1.0, N=N, M=M)
-    full, v_full = scheme2_transport(field.apply, u0, cfg)
     pruned, v_pruned = scheme2_transport(field, u0, cfg)
+    monkeypatch.setattr(schemes, "_live_rows", lambda field, N: [field.size] * (N + 1))
+    full, v_full = scheme2_transport(field, u0, cfg)
     assert "dps" in pruned.stats  # the decimal path
     assert v_pruned.tobytes() == v_full.tobytes()
     assert pruned.times.tobytes() == full.times.tobytes()
@@ -762,18 +769,16 @@ def test_scheme2_field_evaluates_the_rows_that_reach_u0(K, N, M, monkeypatch):
 
 
 @pytest.mark.parametrize("M", [1, 80, 320])
-def test_scheme2_at_T0_takes_no_half_step(M):
+def test_scheme2_at_T0_takes_no_half_step(M, monkeypatch):
     # lam = 0 gives every half-step's value the weight 0: R is never called,
     # and every value is exp(u_0)
-    calls, model = [], brownian_model(20)
-
-    def R(y):
-        calls.append(1)
-        return R_pow(y, model)
-
+    calls, apply = [], operators._Terms.apply
+    monkeypatch.setattr(operators._Terms, "apply",
+                        lambda self, y, rows=None: calls.append(1) or apply(self, y, rows))
     u0 = powerseries.quartic_initial(20)
     u0[0] = 0.25 - 0.5j
-    traj, vals = scheme2_transport(R, u0, SchemeConfig(T=0.0, N=80, M=M))
+    traj, vals = scheme2_transport(brownian_model(20).field.riccati, u0,
+                                   SchemeConfig(T=0.0, N=80, M=M))
     assert calls == []
     assert traj.stats == {"half_steps": 0, "rhs_evals": 0, "stop": "completed"}
     assert vals.tobytes() == np.full(81, np.exp(u0[0])).tobytes()
@@ -781,17 +786,13 @@ def test_scheme2_at_T0_takes_no_half_step(M):
 
 
 @pytest.mark.parametrize("M", [20, 40])
-def test_scheme2_stops_half_steps_at_the_cut(M):
+def test_scheme2_stops_half_steps_at_the_cut(M, monkeypatch):
     # the value at grid point n needs n half-steps; none is taken past the
     # first cut point, on the float path (lam = 1) and the decimal one (2)
-    calls = []
-
-    def R(y):
-        calls.append(1)
-        out = 0 * y
-        out[0] = 40 * y[0] * y[0]
-        return out
-
+    calls, apply = [], operators._Terms.apply
+    monkeypatch.setattr(operators._Terms, "apply",
+                        lambda self, y, rows=None: calls.append(1) or apply(self, y, rows))
+    R = operators._Terms([0], [0], [0], [40], [1.0], [1])  # R(u)_0 = 40 u_0^2
     cfg = SchemeConfig(T=1.0, N=20, M=M)
     traj, _ = scheme2_transport(R, np.array([1.0 + 0j]), cfg)
     assert traj.status == "exploded"
@@ -811,25 +812,23 @@ def test_scheme2_leaves_the_callers_decimal_context_alone(M, monkeypatch):
     monkeypatch.setattr(schemes, "_transport_cut",
                         lambda v, kept: seen.append(decimal.getcontext().prec) or cut(v, kept))
     with decimal.localcontext(decimal.Context(prec=11)):
-        scheme2_transport(brownian_R(12), delta(1, 12, 0.8), SchemeConfig(T=1.0, N=20, M=M))
+        scheme2_transport(brownian_model(12).field.riccati, delta(1, 12, 0.8),
+                          SchemeConfig(T=1.0, N=20, M=M))
     assert seen == [11] * 21
 
 
 def test_scheme2_decimal_path_rejects_complex_state():
     cfg = SchemeConfig(T=1.0, N=4, M=8)
     with pytest.raises(ValueError, match="complex"):
-        scheme2_transport(lambda y: 0 * y, np.array([0.3 + 0.1j]), cfg)
+        scheme2_transport(operators._Terms([], [], [], [], [], [1]),
+                          np.array([0.3 + 0.1j]), cfg)
 
 
 def test_scheme2_decimal_exp_overflow_is_an_explosion():
     # lam = 2; one half-step takes u_0 from 1 to about 1.25e29, whose exp
     # lies far past any decimal exponent: a non-finite value the explosion
     # test cuts
-    def R(y):
-        out = 0 * y
-        out[0] = 10**30 * y[0] * y[0]
-        return out
-
+    R = operators._Terms([0], [0], [0], [10**30], [1.0], [1])  # R(u)_0 = 1e30 u_0^2
     cfg = SchemeConfig(T=1.0, N=4, M=8)
     traj, vals = scheme2_transport(R, np.array([1.0 + 0j]), cfg)
     assert traj.status == "exploded"
