@@ -4,7 +4,8 @@ Euler discretization of the signature-driven models, with the running
 truncated signature updated multiplicatively each step.  Estimates are
 reproducible: paths are split into fixed-size blocks and every block draws
 from its own counter-derived substream, so results depend only on
-(seed, config).
+(seed, config).  A helper thread draws each step's normals while the
+previous step runs, in the order of a serial run, so it changes no result.
 
 The Gaussian quadrature oracle, ``gauss_hermite_expectation`` (a historical
 name, read by callers and by the benchmark's tracer), is the trapezoidal rule
@@ -14,7 +15,10 @@ node solver.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +65,71 @@ def estimate(samples: np.ndarray) -> McEstimate:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+
+class _Helper:
+    """One thread beside the caller that runs one job at a time, such as the
+    next step's normal draws while the caller runs the current step: numpy's
+    generators and ufuncs release the interpreter lock while they fill an
+    array, so the two overlap.
+
+    ``start(job)`` hands the thread a callable and returns at once;
+    ``wait()`` blocks until that job is done and raises what it raised.
+    Jobs alternate with waits: start, wait, start, ...  Used as a context
+    manager, one per call; leaving lets a job still running finish, then
+    joins the thread, on every exit path.
+
+    A process allowed on one CPU only gets no thread: the two could only
+    take turns, which measured slower than drawing in line, so ``start``
+    runs the job itself.
+    """
+
+    def __init__(self):
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._job = self._error = None
+        self._thread = None
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) > 1:
+            self._thread = threading.Thread(target=self._serve, name="sigcalc-helper", daemon=True)
+
+    def __enter__(self):
+        if self._thread is not None:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        if self._thread is not None:
+            self._job = None
+            self._go.release()
+            self._thread.join()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            self._run()
+
+    def _run(self):
+        try:
+            self._job()
+        except BaseException as err:  # raised again by wait()
+            self._error = err
+        self._done.release()
+
+    def start(self, job) -> None:
+        self._job = job
+        if self._thread is None:
+            self._run()
+        else:
+            self._go.release()
+
+    def wait(self) -> None:
+        self._done.acquire()
+        err, self._error = self._error, None
+        if err is not None:
+            raise err
 
 
 def _chen_exp_step(levels: list, dx_over: np.ndarray, work: list) -> None:
@@ -163,6 +232,11 @@ class SigSimResult:
     finals: np.ndarray
     functional: McEstimate | None
     clamped_steps: int
+    # the run itself: paths simulated, the blocks they were split into, and
+    # the seed their substreams derive from
+    paths: int
+    blocks: int
+    seed: int
 
 
 def simulate_sigsde(
@@ -190,10 +264,15 @@ def simulate_sigsde(
     (n_words, nb) array, levels first and paths last, with one view per
     level.  Every Euler step multiplies it in place by the signature of the
     step's segment, level N down to level 1, by the restricted exponential
-    in Horner form (``_chen_exp_step``); all buffers, the normal draws
-    included, are allocated once per block.  ``functional`` maps the final
-    signatures of a block, an (nb, n_words) array (the transposed view), to
-    one sample per path.
+    in Horner form (``_chen_exp_step``).  All buffers, the normal draws
+    included, are allocated once per call, for the first block, the
+    largest; a shorter last block works on their leading parts.  One helper
+    thread (``_Helper``), started once per call and joined before it
+    returns, draws step k + 1's normals while this thread runs step k; only
+    it draws from a block's generator, in the order of a serial run, so the
+    results do not depend on it.  ``functional`` maps the final signatures
+    of a block, an (nb, n_words) array (the transposed view), to one sample
+    per path.
     """
     if not 0 <= T < math.inf:
         raise ValueError(f"horizon must be finite and >= 0, got {T}")
@@ -229,47 +308,73 @@ def simulate_sigsde(
     fn_samples = [] if functional is not None else None
     clamped = 0
 
-    for blk, lo in enumerate(range(0, cfg.n_paths, cfg.block_size)):
-        nb = min(cfg.block_size, cfg.n_paths - lo)
-        rng = _block_rng(cfg.seed, blk)
-        sig = np.zeros((size, nb))
-        sig[0] = 1.0
-        levels = [sig[offs[n] : offs[n + 1]] for n in range(N_sig + 1)]
-        work = [None] + [np.empty((d**m, nb)) for m in range(1, N_sig + 1)]
-        # row k holds dx / k; row 1 is the step's increment dx itself
-        dx_over = np.empty((max(N_sig, 1) + 1, d, nb))
-        dx = dx_over[1]
-        z = np.empty((nb, d))
-        dW = np.empty((d, nb))
-        coef = np.zeros((d + d * d, nb))
-        tmp = np.empty(nb)
-        drift, a = coef[:d], coef[d:].reshape(d, d, nb)
-        L = np.zeros((d, d, nb))
-        mask = np.empty(nb, dtype=bool)
-        for _ in range(steps):
-            rng.standard_normal(out=z)
-            np.multiply(z.T, sqrt_dt, out=dW)
-            _pair(pairings, sig, coef, tmp)
-            np.multiply(drift, dt, out=dx)
-            clamped += _diffuse(pattern, a, L, dW, dx, tmp, mask)
-            for k in range(2, N_sig + 1):
-                np.divide(dx, k, out=dx_over[k])
-            _chen_exp_step(levels, dx_over, work)
-        # level 1 of the signature is the path's increment (Chen)
-        finals[lo : lo + nb] = np.asarray(spec.x0, dtype=np.float64) + levels[1].T
-        if functional is not None:  # a copy: the spread below overwrites sig
-            fn_samples.append(np.array(functional(sig.T)))
-        blk_mean = sig.sum(axis=1) / nb
-        np.square(np.subtract(sig, blk_mean[:, None], out=sig), out=sig)
-        delta = blk_mean - mean
-        mean += delta * (nb / (lo + nb))
-        m2 += sig.sum(axis=1) + delta**2 * (lo * nb / (lo + nb))
+    starts = range(0, cfg.n_paths, cfg.block_size)
+    first = min(cfg.block_size, cfg.n_paths)
+    flat = {}
+
+    def buffer(name, shape, dtype=np.float64):
+        # the first block is the largest: a later one takes the leading part
+        # of its array, so keeps the C-contiguous layout of a fresh array
+        count = math.prod(shape)
+        if name not in flat:
+            flat[name] = np.zeros(count, dtype)
+        return flat[name][:count].reshape(shape)
+
+    with _Helper() as helper:
+        for blk, lo in enumerate(starts):
+            nb = min(cfg.block_size, cfg.n_paths - lo)
+            sig = buffer("sig", (size, nb))
+            sig.fill(0.0)
+            sig[0] = 1.0
+            levels = [sig[offs[n] : offs[n + 1]] for n in range(N_sig + 1)]
+            work = [None] + [buffer(f"work{m}", (d**m, nb)) for m in range(1, N_sig + 1)]
+            # row k holds dx / k; row 1 is the step's increment dx itself
+            dx_over = buffer("dx_over", (max(N_sig, 1) + 1, d, nb))
+            dx = dx_over[1]
+            z = buffer("z", (nb, d))
+            dW = buffer("dW", (d, nb))
+            coef = buffer("coef", (d + d * d, nb))
+            tmp = buffer("tmp", (nb,))
+            drift, a = coef[:d], coef[d:].reshape(d, d, nb)
+            L = buffer("L", (d, d, nb))
+            if nb < first:
+                # a shorter last block's rows lie elsewhere in the arrays, and
+                # those no term or pivot writes must read zero; in the first
+                # block they are fresh zeros whose pages are never touched
+                coef.fill(0.0)
+                L.fill(0.0)
+            mask = buffer("mask", (nb,), bool)
+            # the helper draws step k + 1's normals into z while this thread
+            # runs step k, from the moment dW is formed; only it touches rng
+            draw = functools.partial(_block_rng(cfg.seed, blk).standard_normal, out=z)
+            helper.start(draw)
+            for step in range(steps):
+                helper.wait()
+                np.multiply(z.T, sqrt_dt, out=dW)
+                if step + 1 < steps:
+                    helper.start(draw)
+                _pair(pairings, sig, coef, tmp)
+                np.multiply(drift, dt, out=dx)
+                clamped += _diffuse(pattern, a, L, dW, dx, tmp, mask)
+                for k in range(2, N_sig + 1):
+                    np.divide(dx, k, out=dx_over[k])
+                _chen_exp_step(levels, dx_over, work)
+            # level 1 of the signature is the path's increment (Chen)
+            finals[lo : lo + nb] = np.asarray(spec.x0, dtype=np.float64) + levels[1].T
+            if functional is not None:  # a copy: the spread below overwrites sig
+                fn_samples.append(np.array(functional(sig.T)))
+            blk_mean = sig.sum(axis=1) / nb
+            np.square(np.subtract(sig, blk_mean[:, None], out=sig), out=sig)
+            delta = blk_mean - mean
+            mean += delta * (nb / (lo + nb))
+            m2 += sig.sum(axis=1) + delta**2 * (lo * nb / (lo + nb))
 
     n = cfg.n_paths
     se = np.sqrt(m2 / max(n - 1, 1) / n)
     fn_est = estimate(np.concatenate(fn_samples)) if functional is not None else None
     return SigSimResult(
-        sig_mean=mean, sig_se=se, finals=finals, functional=fn_est, clamped_steps=clamped
+        sig_mean=mean, sig_se=se, finals=finals, functional=fn_est, clamped_steps=clamped,
+        paths=n, blocks=len(starts), seed=cfg.seed,
     )
 
 

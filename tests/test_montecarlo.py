@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from sigcalc import montecarlo
 from sigcalc.montecarlo import (
     McEstimate,
     SimConfig,
@@ -285,6 +288,153 @@ def test_diagonal_models_keep_their_recorded_bits(name):
     got = [hashlib.sha256(getattr(res, f).tobytes()).hexdigest() for f in ("sig_mean", "sig_se", "finals")]
     assert got == digests
     assert res.clamped_steps == clamped
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of sig_mean, sig_se, finals and the functional's (mean.real,
+# mean.imag, std_error), and clamped_steps, recorded from the serial draws
+# before a helper thread drew them ahead (numpy 2.4.6)
+_RECORDED_SERIAL = {
+    "partial-blocks": (
+        lambda: black_scholes_spec(0.2, 1.0, 3), 3,
+        SimConfig(n_paths=2500, dt=0.02, seed=29, block_size=1000),
+        lambda sig: sig[:, 5] * sig[:, 3],
+        "a6dd8b70054b3bbc22183aface345bc9a1681ad360118b1a37b6bbf38a83fa91",
+        "016d42d9691833fd0fd8b16db43ddd04f56fc92e7775edf711ea0f122f4e1287",
+        "e8332f8118f6ea9db0d8197ec7aebb2d49b7e084a705d34399cac5a114bcf0b2",
+        "dd5bcfd6aeb2bcc0424e8815db2a38c32fb284f1f87d7f133acf4f84c256e402",
+        0,
+    ),
+    "correlated": (
+        lambda: brownian_spec(2, 3, [[1.0, 0.5], [0.5, 2.0]]), 3,
+        SimConfig(n_paths=1500, dt=0.02, seed=31, block_size=400),
+        lambda sig: sig[:, 1] ** 2 + sig[:, 8],
+        "4f1e4b1ec10802abda6f118676e2aa6f911a9027032dba4804bc01434af5e7ef",
+        "cbd1852424876428231e655f279d921f9cc4e7d8f3dcf398f268781944b8deba",
+        "3e476fbcb995405062eb7da7a03f4fbc8728f69f6c610a47af7c486c2a256e46",
+        "a34c319bb3819746e0050d2e8dc5d4a536ab98a273d908632124f1b308f91f91",
+        0,
+    ),
+    "d1-seven-paths": (
+        _clamping_spec, 2,
+        SimConfig(n_paths=7, dt=0.01, seed=37),
+        lambda sig: sig[:, 2],
+        "dbdecec55e7cfd898a015db149e85e87c595fa9f0b52250dee82b983ea0e66c3",
+        "1026f58187c76959ffc0275bd1e06eb4e178cd3e0a6848bfa7bb89bb17d9a063",
+        "7fbceeecdeec7385ce284c0f066c125b6e6b73f910001a63e5a49ce3a012cefd",
+        "d3cd008c0039a1e73200463dfdf87e9a81284a5830d29612c3340d86ae77cb7c",
+        220,
+    ),
+}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@pytest.mark.parametrize("name", sorted(_RECORDED_SERIAL))
+def test_draws_ahead_keep_the_serial_bits(name, cpus, monkeypatch):
+    # on one CPU the draws run in line, on two on the helper thread
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    make, N, cfg, fn, *digests, clamped = _RECORDED_SERIAL[name]
+    res = simulate_sigsde(make(), cfg, T=1.0, N_sig=N, functional=fn)
+    est = res.functional
+    got = [_sha(res.sig_mean), _sha(res.sig_se), _sha(res.finals),
+           _sha(np.array([est.mean.real, est.mean.imag, est.std_error]))]
+    assert got == digests
+    assert res.clamped_steps == clamped
+
+
+def test_draws_ahead_keep_their_bits_under_contention(monkeypatch):
+    # four calls at once, each with its own helper, on two CPUs or fewer,
+    # with thread switches forced often: a draw that overlapped the read of
+    # the draws before it would change the bits
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    make, N, cfg, fn, *digests, clamped = _RECORDED_SERIAL["partial-blocks"]
+    got = []
+
+    def run():
+        res = simulate_sigsde(make(), cfg, T=1.0, N_sig=N, functional=fn)
+        got.append([_sha(res.sig_mean), _sha(res.sig_se), _sha(res.finals)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [digests[:3]] * 4
+
+
+@pytest.mark.parametrize(
+    "n_paths, block_size, blocks", [(2500, 1000, 3), (3000, 1000, 3), (7, 65_536, 1)]
+)
+def test_sigsim_result_reports_its_run(n_paths, block_size, blocks):
+    cfg = SimConfig(n_paths=n_paths, dt=0.25, seed=41, block_size=block_size)
+    res = simulate_sigsde(brownian_spec(2, 2), cfg, T=1.0, N_sig=2)
+    assert (res.paths, res.blocks, res.seed) == (n_paths, blocks, 41)
+
+
+class _FailingDraws:
+    """A block generator whose draw number ``fail_at`` raises."""
+
+    def __init__(self, rng, fail_at):
+        self.rng, self.left = rng, fail_at
+
+    def standard_normal(self, out):
+        if self.left == 0:
+            raise RuntimeError("draw failed")
+        self.left -= 1
+        return self.rng.standard_normal(out=out)
+
+
+def _raise_on_call(n, real):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise RuntimeError("step failed")
+        return real(*args)
+
+    return wrapped
+
+
+def _functional_that_fails(sig):
+    raise RuntimeError("functional failed")
+
+
+@pytest.mark.parametrize("exit_path", ["return", "functional", "draw", "step"])
+def test_no_helper_thread_outlives_a_call(exit_path, monkeypatch):
+    # two CPUs, so the helper thread runs; "step" fails while it draws
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+
+    def functional(sig):
+        seen.append({t.name for t in threading.enumerate()})
+        return sig[:, 0]
+
+    if exit_path == "functional":
+        functional = _functional_that_fails
+    elif exit_path == "draw":
+        real = montecarlo._block_rng
+        monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, blk: _FailingDraws(real(seed, blk), 3))
+    elif exit_path == "step":
+        monkeypatch.setattr(montecarlo, "_pair", _raise_on_call(30, montecarlo._pair))
+    before = set(threading.enumerate())
+    cfg = SimConfig(n_paths=300, dt=0.05, seed=43, block_size=128)
+    if exit_path == "return":
+        simulate_sigsde(brownian_spec(2, 2), cfg, T=1.0, N_sig=2, functional=functional)
+        assert len(seen) == 3 and all("sigcalc-helper" in names for names in seen)
+    else:
+        with pytest.raises(RuntimeError, match=f"{exit_path} failed"):
+            simulate_sigsde(brownian_spec(2, 2), cfg, T=1.0, N_sig=2, functional=functional)
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
