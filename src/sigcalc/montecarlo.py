@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -78,52 +77,37 @@ class _Helper:
     Jobs alternate with waits: start, wait, start, ...  Used as a context
     manager, one per call; leaving lets a job still running finish, then
     joins the thread, on every exit path.
-
-    A process allowed on one CPU only gets no thread: the two could only
-    take turns, which measured slower than drawing in line, so ``start``
-    runs the job itself.
     """
 
     def __init__(self):
         self._go = threading.Semaphore(0)
         self._done = threading.Semaphore(0)
         self._job = self._error = None
-        self._thread = None
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if (cpus or 1) > 1:
-            self._thread = threading.Thread(target=self._serve, name="sigcalc-helper", daemon=True)
+        self._thread = threading.Thread(target=self._serve, name="sigcalc-helper", daemon=True)
 
     def __enter__(self):
-        if self._thread is not None:
-            self._thread.start()
+        self._thread.start()
         return self
 
     def __exit__(self, *exc):
-        if self._thread is not None:
-            self._job = None
-            self._go.release()
-            self._thread.join()
+        self._job = None
+        self._go.release()
+        self._thread.join()
 
     def _serve(self):
         while True:
             self._go.acquire()
             if self._job is None:
                 return
-            self._run()
-
-    def _run(self):
-        try:
-            self._job()
-        except BaseException as err:  # raised again by wait()
-            self._error = err
-        self._done.release()
+            try:
+                self._job()
+            except BaseException as err:  # raised again by wait()
+                self._error = err
+            self._done.release()
 
     def start(self, job) -> None:
         self._job = job
-        if self._thread is None:
-            self._run()
-        else:
-            self._go.release()
+        self._go.release()
 
     def wait(self) -> None:
         self._done.acquire()
@@ -232,11 +216,6 @@ class SigSimResult:
     finals: np.ndarray
     functional: McEstimate | None
     clamped_steps: int
-    # the run itself: paths simulated, the blocks they were split into, and
-    # the seed their substreams derive from
-    paths: int
-    blocks: int
-    seed: int
 
 
 def simulate_sigsde(
@@ -338,11 +317,15 @@ def simulate_sigsde(
             drift, a = coef[:d], coef[d:].reshape(d, d, nb)
             L = buffer("L", (d, d, nb))
             if nb < first:
-                # a shorter last block's rows lie elsewhere in the arrays, and
-                # those no term or pivot writes must read zero; in the first
-                # block they are fresh zeros whose pages are never touched
+                # a shorter last block's rows lie elsewhere in the array, and
+                # those no term writes must read zero; in the first block
+                # they are fresh zeros whose pages are never touched
                 coef.fill(0.0)
-                L.fill(0.0)
+            for i, j, _ in pattern:
+                # below a zero pivot an entry keeps what it held, times 0,
+                # so a block starts from zeros as a fresh array would; the
+                # entries outside the pattern are never read
+                L[i, j].fill(0.0)
             mask = buffer("mask", (nb,), bool)
             # the helper draws step k + 1's normals into z while this thread
             # runs step k, from the moment dW is formed; only it touches rng
@@ -373,8 +356,7 @@ def simulate_sigsde(
     se = np.sqrt(m2 / max(n - 1, 1) / n)
     fn_est = estimate(np.concatenate(fn_samples)) if functional is not None else None
     return SigSimResult(
-        sig_mean=mean, sig_se=se, finals=finals, functional=fn_est, clamped_steps=clamped,
-        paths=n, blocks=len(starts), seed=cfg.seed,
+        sig_mean=mean, sig_se=se, finals=finals, functional=fn_est, clamped_steps=clamped
     )
 
 

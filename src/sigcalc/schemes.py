@@ -329,11 +329,8 @@ def scheme2_transport(
             if n:
                 lam_pow.append(lam_d**n)
                 rest_pow.append(one_minus**n)
-            # a zero factor (1 - lam)^(n - m), every m < n at lam = 1, makes a
-            # zero weight, which no sum takes: it is not formed
-            w = [(m, math.comb(n, m) * rest_pow[n - m] * lam_pow[m])
-                 for m in range(n + 1) if rest_pow[n - m]]
-            terms = [[wm * part[m] for m, wm in w if wm] for part in g]
+            w = [math.comb(n, m) * rest_pow[n - m] * lam_pow[m] for m in range(n + 1)]
+            terms = [[wm * x for wm, x in zip(w, part) if wm] for part in g]
         with decimal.localcontext(wide):
             v = np.complex128(complex(*[sum(t) for t in terms]))
         stop = _transport_cut(v, values)

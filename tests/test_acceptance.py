@@ -5,7 +5,6 @@ Each test covers one headline capability, prints a single summary line
 asserts.  Tolerances and runtime budgets are part of the check.
 """
 
-import functools
 import math
 import time
 
@@ -220,55 +219,45 @@ def _levy_area_mc(lam, gamma, T, n_paths, steps, seed):
     sqrt_dt = math.sqrt(dt)
     samples = []
     block, chunk = 50_000, 50
-    sizes = [min(chunk, steps - i) for i in range(0, steps, chunk)]
     done = 0
     blk = 0
-    with montecarlo._Helper() as helper:
-        while done < n_paths:
-            nb = min(block, n_paths - done)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
-            x1 = np.zeros(nb, dtype=np.float32)
-            x2 = np.zeros(nb, dtype=np.float32)
-            area = np.zeros(nb, dtype=np.float32)
-            buf = np.empty((6, chunk, nb), dtype=np.float32)
-            # the helper draws and scales the next chunk's d1 and d2 into
-            # the other of two buffers while this chunk is summed
-            draws = (buf[:2], np.empty((2, chunk, nb), dtype=np.float32))
-
-            def draw(out, cs):
-                for d in out[:, :cs]:
-                    rng.standard_normal(dtype=np.float32, out=d)
-                    d *= np.float32(sqrt_dt)
-
-            helper.start(functools.partial(draw, draws[0], sizes[0]))
-            for i, cs in enumerate(sizes):
-                helper.wait()
-                if i + 1 < len(sizes):
-                    helper.start(functools.partial(draw, draws[(i + 1) % 2], sizes[i + 1]))
-                # in place, the float32 operations of (c1 - d1/2) d2 - (c2 - d2/2) d1
-                # with c = x + cumsum(d), in their order
-                d1, d2 = draws[i % 2][:, :cs]
-                c1, c2, a, b = buf[2:, :cs]
-                for d, c, x in ((d1, c1, x1), (d2, c2, x2)):
-                    c[0] = d[0]  # the cumulative sum, row by row (np.cumsum's order)
-                    for j in range(1, cs):
-                        np.add(c[j - 1], d[j], out=c[j])
-                    c += x
-                np.multiply(d1, 0.5, out=a)
-                np.subtract(c1, a, out=a)
-                a *= d2
-                np.multiply(d2, 0.5, out=b)
-                np.subtract(c2, b, out=b)
-                b *= d1
-                a -= b
-                area += 0.5 * np.sum(a, axis=0)
-                x1[:] = c1[-1]
-                x2[:] = c2[-1]
-            samples.append(
-                np.exp(1j * (lam * area + gamma[0] * x1 + gamma[1] * x2))
-            )
-            done += nb
-            blk += 1
+    while done < n_paths:
+        nb = min(block, n_paths - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
+        x1 = np.zeros(nb, dtype=np.float32)
+        x2 = np.zeros(nb, dtype=np.float32)
+        area = np.zeros(nb, dtype=np.float32)
+        buf = np.empty((6, chunk, nb), dtype=np.float32)
+        left = steps
+        while left > 0:
+            cs = min(chunk, left)
+            # in place, the float32 operations of (c1 - d1/2) d2 - (c2 - d2/2) d1
+            # with c = x + cumsum(d), in their order
+            d1, d2, c1, c2, a, b = buf[:, :cs]
+            for d in (d1, d2):
+                rng.standard_normal(dtype=np.float32, out=d)
+                d *= np.float32(sqrt_dt)
+            for d, c, x in ((d1, c1, x1), (d2, c2, x2)):
+                c[0] = d[0]  # the cumulative sum, row by row (np.cumsum's order)
+                for i in range(1, cs):
+                    np.add(c[i - 1], d[i], out=c[i])
+                c += x
+            np.multiply(d1, 0.5, out=a)
+            np.subtract(c1, a, out=a)
+            a *= d2
+            np.multiply(d2, 0.5, out=b)
+            np.subtract(c2, b, out=b)
+            b *= d1
+            a -= b
+            area += 0.5 * np.sum(a, axis=0)
+            x1[:] = c1[-1]
+            x2[:] = c2[-1]
+            left -= cs
+        samples.append(
+            np.exp(1j * (lam * area + gamma[0] * x1 + gamma[1] * x2))
+        )
+        done += nb
+        blk += 1
     return estimate(np.concatenate(samples))
 
 
