@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -34,6 +35,10 @@ class SimConfig:
     block_size: int = 65_536
 
     def __post_init__(self):
+        for name in ("n_paths", "block_size"):  # numpy integers too, not bool
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1 or self.block_size < 1:
             raise ValueError("path and block counts must be positive")
         if not 0 < self.dt < math.inf:

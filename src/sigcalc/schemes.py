@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import count
@@ -46,6 +47,10 @@ class SchemeConfig:
     M: int = 1  # transport half-step count per unit time
 
     def __post_init__(self):
+        for name in ("steps", "N", "M"):  # numpy integers too, not bool
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.T < math.inf:
             raise ValueError(f"horizon must be finite and >= 0, got {self.T}")
         if self.steps < 1:
@@ -61,8 +66,10 @@ class SchemeConfig:
 @dataclass
 class Trajectory:
     """Time grid, the states at those times, and the explosion time (None
-    when the run completed).  Route 1's states are an array with one row of
-    coefficients per time, route 2's the grid values.
+    when the run completed).  ``ode_integrate``'s states are an array with
+    one row of coefficients per time; ``scheme1_riccati``'s and
+    ``scheme1_stack``'s are u_0 alone, one entry per time; route 2's are the
+    grid values.
 
     Route 1 fills ``stats``: RK4 steps taken, RHS evaluations, the largest
     |entry| of the states kept, and why the run stopped ("completed",
@@ -82,6 +89,11 @@ class Trajectory:
     @property
     def status(self) -> str:
         return "completed" if self.explosion_time is None else "exploded"
+
+
+# Route 1 reduces its states through a window of about this many bytes (at
+# least one row), so its memory does not grow with the steps times the state.
+_WINDOW_BYTES = 256 * 1024
 
 
 def ode_integrate(
@@ -105,65 +117,28 @@ def ode_integrate(
     per evaluation.  Either way the step is the same arithmetic, so the
     field and ``f.apply`` give the same bits.
 
-    Each step's state is a fresh array, copied into its row of one array of
-    states.  The trajectory returned is the loop's: its times and states
+    Every state is kept, in its row of one (steps + 1)-row array: route 1
+    (``scheme1_riccati``, ``scheme1_stack``) runs the same loop but keeps u_0
+    alone.  The trajectory returned is the loop's: its times and states
     (len(y0) columns, the trailing 1 dropped) run to the last step any
     block kept, and its ``stats`` count the steps taken, the final
     non-finite one included.  Its ``blocks`` hold one trajectory per block,
     whose states are the view of the block's columns up to its first
     non-finite row, with the times, explosion time and stats a separate
     solve of that block returns."""
-    y = np.array(y0, dtype=np.complex128)
-    n = len(y)
-    starts = np.asarray(starts, dtype=np.intp)
-    if not (starts.ndim == 1 and starts.size and starts[0] == 0
-            and np.all(np.diff(starts) > 0) and starts[-1] < n):
-        raise ValueError(f"block starts {starts.tolist()} must begin at 0 and "
-                         f"increase strictly below the state's {n} entries")
-    if isinstance(f, _Terms):
-        if f.size != n:
-            raise ValueError(f"initial data of size {n} for a field of size {f.size}")
-        f, y = f.kernel, np.append(y, 1.0)
-    h = cfg.T / cfg.steps
-    h2, h6 = 0.5 * h, h / 6.0
+    f, y, n, starts = _rk4_start(f, y0, starts)
     Y = np.empty((cfg.steps + 1, len(y)), dtype=np.complex128)
-    Y[0] = y
-    if not h:
-        Y[1:] = y
-    else:
-        with np.errstate(all="ignore"):
-            for k in range(1, cfg.steps + 1):
-                k1 = f(y)
-                k2 = f(y + h2 * k1)
-                k3 = f(y + h2 * k2)
-                k4 = f(y + h * k3)
-                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                Y[k] = y
-                # the sum is not finite when an entry is not (nor, rarely,
-                # when finite entries overflow it): then test every block
-                if (not cmath.isfinite(y.sum())
-                        and not np.logical_and.reduceat(np.isfinite(y), starts).any()):
-                    Y = Y[: k + 1]
-                    break
-    Y = Y[:, :n]
-    times = np.append(0.0, np.arange(len(Y) - 1) * h + h)
-    # rows kept per block: up to its first non-finite row after row 0 (a
-    # non-finite entry stays so), or all of them
-    ok = np.logical_and.reduceat(np.isfinite(Y[1:]), starts, axis=1)
-    kept = np.where(ok.all(axis=0), len(Y), ok.argmin(axis=0) + 1).tolist()
-
-    def record(r: int, states: np.ndarray, max_abs_state: float, blocks=None) -> Trajectory:
-        """The first r rows; fewer than all of them end in an explosion."""
-        explosion_time = float(times[r]) if r < len(Y) else None
-        steps = min(r, cfg.steps) if h else 0
-        stats = {"steps": steps, "rhs_evals": 4 * steps, "max_abs_state": max_abs_state,
-                 "stop": "completed" if explosion_time is None else "non-finite state"}
-        return Trajectory(times[:r], states, explosion_time, stats, blocks)
-
-    blocks = [record(r, Y[:r, lo:hi], float(np.abs(Y[:r, lo:hi]).max()))
-              for r, lo, hi in zip(kept, starts.tolist(), [*starts[1:].tolist(), n])]
+    rows = _rk4(f, y, cfg, starts, Y, None)  # steps + 1 rows never fill
+    if not cfg.T / cfg.steps:
+        Y[1:], rows = y, len(Y)
+    Y = Y[:rows, :n]
+    times, (max_abs, finite) = _times(cfg, rows), _reduce(Y, starts)
+    kept = _kept(finite)
+    bounds = zip(starts.tolist(), [*starts[1:].tolist(), n])
+    blocks = [_record(cfg, times, r, Y[:r, lo:hi], float(max_abs[:r, b].max()))
+              for b, (r, (lo, hi)) in enumerate(zip(kept, bounds))]
     r = max(kept)
-    return record(r, Y[:r], max(b.stats["max_abs_state"] for b in blocks), blocks)
+    return _record(cfg, times, r, Y[:r], max(b.stats["max_abs_state"] for b in blocks), blocks)
 
 
 def scheme1_riccati(
@@ -180,6 +155,13 @@ def scheme1_riccati(
     state, which holds for both coefficient layouts.  One problem is the
     one-block case of ``scheme1_stack``'s loop.
 
+    The loop is ``ode_integrate``'s and gives its bits, but it keeps a
+    window of about 256 KiB of states (at least one), reduced to u_0, the
+    largest |entry| and finiteness per row each time it fills: memory grows
+    with the steps, not with the steps times the state.  The trajectory's
+    states are u_0 alone, one entry per time, and its stats are taken over
+    the whole state; ``ode_integrate(R_fn, u0, cfg)`` returns every state.
+
     Explosion is reported at the first step whose state or value exp(u_0)
     is non-finite.  Non-finiteness does not depend on the basis (up to the
     step in which k! pushes an overflowing coefficient past the float range)
@@ -188,7 +170,7 @@ def scheme1_riccati(
     a truncated ODE its values grow without bound, as the truncated solution
     itself does.
     """
-    return _value_cut(ode_integrate(R_fn, u0, cfg).blocks[0])
+    return _route1(R_fn, u0, cfg, (0,))[0]
 
 
 def scheme1_stack(
@@ -201,37 +183,133 @@ def scheme1_stack(
     integrated from their initial data in one RK4 loop, which ends when
     every block has stopped or at T.  Returns one (Trajectory, values) per
     field, each with the bits, explosion time and stats of
-    ``scheme1_riccati(field, u0, cfg)``: the "non-finite value" cut is made
-    per block.  Small fields cost the loop's per-step overhead once for the
-    whole stack."""
+    ``scheme1_riccati(field, u0, cfg)``: its states are the block's u_0 per
+    time, and the "non-finite value" cut is made per block.  Small fields
+    cost the loop's per-step overhead once for the whole stack.  The loop
+    keeps scheme1_riccati's window of states, so a stack of B problems over
+    S steps holds O(S B) numbers, not one state per step."""
     sizes = [len(u) for u in u0s]
     if sizes != [t.size for t in fields]:
         raise ValueError(f"initial data of sizes {sizes} for fields of sizes "
                          f"{[t.size for t in fields]}")
     if not fields:
         return []
-    traj = ode_integrate(_Terms.stack(fields), np.concatenate(u0s), cfg,
-                         np.cumsum([0] + sizes[:-1]))
-    return [_value_cut(b) for b in traj.blocks]
+    return _route1(_Terms.stack(fields), np.concatenate(u0s), cfg,
+                   np.cumsum([0] + sizes[:-1]))
 
 
-def _value_cut(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
-    """Route 1's values exp(u_0), with the trajectory cut before the first
-    that is not finite."""
-    with np.errstate(over="ignore"):
-        values = np.exp(traj.states[:, 0])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        n = int(bad[0])
-        traj = Trajectory(
-            times=traj.times[:n],
-            states=traj.states[:n],
-            explosion_time=float(traj.times[n]),
-            stats={**traj.stats, "stop": "non-finite value",
-                   "max_abs_state": float(np.abs(traj.states[:n]).max(initial=0.0))},
-        )
-        values = values[:n]
-    return traj, values
+def _route1(f, u0, cfg: SchemeConfig, starts) -> list[tuple[Trajectory, np.ndarray]]:
+    """Route 1 on the blocks of u0: ``ode_integrate``'s loop through a
+    window of ``_WINDOW_BYTES``, each flush reduced to u_0, the largest
+    |entry| and finiteness per block and row, then one (Trajectory,
+    values) per block with its values exp(u_0), cut before the first that
+    is not finite."""
+    f, y, n, starts = _rk4_start(f, u0, starts)
+    parts = []  # (u_0, max |entry|, finite) of each flush, rows x blocks
+
+    def flush(rows: np.ndarray) -> None:
+        rows = rows[:, :n]
+        parts.append((rows[:, starts], *_reduce(rows, starts)))
+
+    rows = min(cfg.steps + 1, max(1, _WINDOW_BYTES // y.nbytes))
+    window = np.empty((rows, len(y)), dtype=np.complex128)
+    flush(window[:_rk4(f, y, cfg, starts, window, flush)])
+    u, max_abs, finite = (np.concatenate(p) for p in zip(*parts))
+    if not cfg.T / cfg.steps:  # every row is u0
+        u, max_abs, finite = (np.repeat(a, cfg.steps + 1, axis=0) for a in (u, max_abs, finite))
+    u = np.ascontiguousarray(u.T)
+    times = _times(cfg, len(finite))
+    solved = []
+    for b, r in enumerate(_kept(finite)):
+        with np.errstate(over="ignore"):
+            values = np.exp(u[b, :r])
+        bad = np.flatnonzero(~np.isfinite(values))
+        c = int(bad[0]) if bad.size else r  # the rows with a finite value
+        traj = _record(cfg, times, r, u[b, :c], float(max_abs[:c, b].max(initial=0.0)))
+        if c < r:
+            traj.times, traj.explosion_time = times[:c], float(times[c])
+            traj.stats["stop"] = "non-finite value"
+        solved.append((traj, values[:c]))
+    return solved
+
+
+def _rk4_start(f, y0, starts):
+    """(f, y, n, starts) of an RK4 run from y0 of n entries: a compiled
+    field runs as its kernel, on y0 with the field's trailing 1 appended."""
+    y = np.array(y0, dtype=np.complex128)
+    n = len(y)
+    starts = np.asarray(starts, dtype=np.intp)
+    if not (starts.ndim == 1 and starts.size and starts[0] == 0
+            and np.all(np.diff(starts) > 0) and starts[-1] < n):
+        raise ValueError(f"block starts {starts.tolist()} must begin at 0 and "
+                         f"increase strictly below the state's {n} entries")
+    if isinstance(f, _Terms):
+        if f.size != n:
+            raise ValueError(f"initial data of size {n} for a field of size {f.size}")
+        f, y = f.kernel, np.append(y, 1.0)
+    return f, y, n, starts
+
+
+def _rk4(f, y, cfg: SchemeConfig, starts: np.ndarray, window: np.ndarray, flush) -> int:
+    """Route 1's one RK4 loop.  y and then each step's state are written to
+    the next row of ``window``; when every row is written, ``flush(window)``
+    is called and writing starts again at row 0.  Returns the rows written
+    since the last flush.  Stops after cfg.steps steps, at once at T = 0,
+    or at the first step whose state is not finite in any block."""
+    h = cfg.T / cfg.steps
+    h2, h6 = 0.5 * h, h / 6.0
+    window[0] = y
+    i = 1
+    if not h:
+        return i
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.steps):
+            k1 = f(y)
+            k2 = f(y + h2 * k1)
+            k3 = f(y + h2 * k2)
+            k4 = f(y + h * k3)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if i == len(window):
+                flush(window)
+                i = 0
+            window[i] = y
+            i += 1
+            # the sum is not finite when an entry is not (nor, rarely, when
+            # finite entries overflow it): then test every block
+            if (not cmath.isfinite(y.sum())
+                    and not np.logical_and.reduceat(np.isfinite(y), starts).any()):
+                break
+    return i
+
+
+def _reduce(rows: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row and per block of the states: the largest |entry|, and whether
+    every entry is finite."""
+    return (np.maximum.reduceat(np.abs(rows), starts, axis=1),
+            np.logical_and.reduceat(np.isfinite(rows), starts, axis=1))
+
+
+def _kept(finite: np.ndarray) -> list[int]:
+    """Rows kept per block: up to its first non-finite row after row 0 (a
+    non-finite entry stays so), or all of them."""
+    ok = finite[1:]
+    return np.where(ok.all(axis=0), len(finite), ok.argmin(axis=0) + 1).tolist()
+
+
+def _times(cfg: SchemeConfig, rows: int) -> np.ndarray:
+    h = cfg.T / cfg.steps
+    return np.append(0.0, np.arange(rows - 1) * h + h)
+
+
+def _record(cfg: SchemeConfig, times: np.ndarray, r: int, states: np.ndarray,
+            max_abs_state: float, blocks=None) -> Trajectory:
+    """The first r rows of a loop's; fewer than all of them end in an
+    explosion."""
+    explosion_time = float(times[r]) if r < len(times) else None
+    steps = min(r, cfg.steps) if cfg.T / cfg.steps else 0
+    stats = {"steps": steps, "rhs_evals": 4 * steps, "max_abs_state": max_abs_state,
+             "stop": "completed" if explosion_time is None else "non-finite state"}
+    return Trajectory(times[:r], states, explosion_time, stats, blocks)
 
 
 def scheme2_transport(

@@ -90,25 +90,45 @@ class Sim1DResult:
 def simulate_1d(model: Model1D, cfg: SimConfig, T: float) -> Sim1DResult:
     """Euler paths of the scalar model; negative squared diffusion is clamped
     to zero and counted.  The Monte Carlo oracle of the scalar models, drawn
-    from the same per-block substreams as ``simulate_sigsde``."""
+    from the same per-block substreams as ``simulate_sigsde``.  Its buffers
+    are allocated once per call; each step runs ``np.polyval``'s Horner loop
+    and the Euler update in place, operation for operation, so the paths
+    have the bits of the allocating form
+    x + b(x) dt + sqrt(max(a(x), 0)) sqrt(dt) Z."""
     steps = max(1, round(T / cfg.dt))
     dt = T / steps
+    sqrt_dt = math.sqrt(dt)
     finals = np.empty(cfg.n_paths)
     clamped = 0
     bc = np.ascontiguousarray(model.b.real[::-1])
     ac = np.ascontiguousarray(model.a.real[::-1])
+    size = min(cfg.block_size, cfg.n_paths)
+    buffers = [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=bool)]
+
+    def horner(coeffs, x, out):
+        out[:] = 0.0
+        for c in coeffs:
+            np.multiply(out, x, out=out)
+            np.add(out, c, out=out)
+
     for blk, lo in enumerate(range(0, cfg.n_paths, cfg.block_size)):
         nb = min(cfg.block_size, cfg.n_paths - lo)
         rng = _block_rng(cfg.seed, blk)
-        x = np.full(nb, model.x0)
-        sqrt_dt = math.sqrt(dt)
+        x, drift, diff2, z, neg = (b[:nb] for b in buffers)
+        x.fill(model.x0)
         for _ in range(steps):
-            drift = np.polyval(bc, x)
-            diff2 = np.polyval(ac, x)
-            neg = diff2 < 0
+            horner(bc, x, drift)
+            horner(ac, x, diff2)
+            np.less(diff2, 0, out=neg)
             clamped += int(np.count_nonzero(neg))
             np.maximum(diff2, 0.0, out=diff2)
-            x = x + drift * dt + np.sqrt(diff2) * sqrt_dt * rng.standard_normal(nb)
+            np.multiply(drift, dt, out=drift)
+            np.add(x, drift, out=x)
+            np.sqrt(diff2, out=diff2)
+            np.multiply(diff2, sqrt_dt, out=diff2)
+            rng.standard_normal(out=z)
+            np.multiply(diff2, z, out=diff2)
+            np.add(x, diff2, out=x)
         finals[lo : lo + nb] = x
     return Sim1DResult(finals=finals, clamped_steps=clamped, n_steps=steps)
 

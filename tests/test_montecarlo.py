@@ -460,6 +460,16 @@ def test_sim_config_rejects_a_non_finite_step(dt):
         SimConfig(dt=dt)
 
 
+@pytest.mark.parametrize("field", ["n_paths", "block_size"])
+def test_sim_config_rejects_a_count_that_is_not_an_integer(field):
+    # n_paths=100.5 was accepted
+    for bad in (100.5, 1e3, True, "3"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{field: bad})
+    cfg = SimConfig(**{field: np.int64(3)})
+    assert getattr(cfg, field) == 3
+
+
 def test_block_spread_needs_no_temporaries():
     # the per-word spread is formed in the signature block itself, with no
     # (n_words, nb) temporaries: 20k paths x 5 steps at d=2, N=3 peaked at

@@ -269,7 +269,8 @@ def test_linear_to_riccati_roundtrip(rng):
         c_states.append(TensorCoeffs(d, N, c))
     psi_traj = linear_to_riccati(times, c_states, u0, spec)
     cfg = schemes.SchemeConfig(T=T, steps=400)
-    traj, _ = schemes.scheme1_riccati(
+    # every state: route 1 (scheme1_riccati) keeps u_0 alone
+    traj = schemes.ode_integrate(
         lambda y: R_op(TensorCoeffs(d, N, y), spec).coeffs, u0.coeffs, cfg
     )
     assert traj.status == "completed"

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import delta, ode_integrate_reference, quartic_blowup_reference
-from sigcalc import operators, powerseries, tensor
+from sigcalc import operators, powerseries, schemes, tensor
 from sigcalc.powerseries import R_pow, brownian_model, to_factorial_basis
 from sigcalc.schemes import (
     SchemeConfig,
@@ -135,8 +135,11 @@ def test_route1_stats_max_abs_state():
     # route 1 keeps only the states with a finite value, and so does the record
     K, cfg = 40, SchemeConfig(T=1.0, steps=1000)
     cut, _ = scheme1_riccati(brownian_R(K), powerseries.quartic_initial(K), cfg)
-    assert cut.stats["max_abs_state"] == max(float(np.abs(s).max()) for s in cut.states)
     raw = ode_integrate(brownian_R(K), powerseries.quartic_initial(K), cfg)
+    # route 1 keeps u_0 alone; ode_integrate keeps the whole states
+    kept = raw.states[: len(cut.times)]
+    assert cut.states.tobytes() == kept[:, 0].tobytes()
+    assert cut.stats["max_abs_state"] == max(float(np.abs(s).max()) for s in kept)
     assert cut.stats["max_abs_state"] < raw.stats["max_abs_state"]
 
 
@@ -312,6 +315,75 @@ def test_route1_stack_matches_separate_solves_bit_for_bit(case):
         assert solved[0][0].stats["steps"] == cfg.steps  # its state stayed finite
 
 
+def _window_case(name):
+    """(fields, initial data, cfg) of a stack whose blocks complete, stop on
+    a non-finite state, or are cut on a non-finite value."""
+    if name == "value-cut":
+        return _stack_case(name)
+    if name == "state-overflow":  # the quartic at K=67 in the factorial basis, at t = 0.354
+        fields, u0s = _kernel_case("levy-d2-N2")
+        fields.insert(0, operators.brownian_spec(1, 67).field.riccati)
+        u0s.insert(0, to_factorial_basis(powerseries.quartic_initial(67)))
+    else:
+        fields, u0s = _kernel_case(name)
+    return fields, u0s, SchemeConfig(T=1.0, steps=1000)
+
+
+@pytest.mark.parametrize("window", [1, 16 * 50, None])  # bytes: one row, a few rows, default
+@pytest.mark.parametrize("case", ["quartic-K10-20-40", "factorial-d1-K67", "state-overflow",
+                                  "value-cut"])
+def test_route1_window_keeps_the_bits_of_every_state(case, window, monkeypatch):
+    # route 1 reduces its states window by window; ode_integrate keeps them all
+    if window:
+        monkeypatch.setattr(schemes, "_WINDOW_BYTES", window)
+    fields, u0s, cfg = _window_case(case)
+    solved = scheme1_stack(fields, u0s, cfg)
+    full = ode_integrate(operators._Terms.stack(fields), np.concatenate(u0s), cfg,
+                         np.cumsum([0] + [len(u) for u in u0s[:-1]]))
+    for (traj, vals), block in zip(solved, full.blocks):
+        r = len(traj.times)
+        assert traj.times.tobytes() == block.times[:r].tobytes()
+        assert traj.states.tobytes() == block.states[:r, 0].tobytes()
+        assert vals.tobytes() == np.exp(block.states[:r, 0]).tobytes()
+        if traj.stats["stop"] == "non-finite value":
+            assert r < len(block.times) and traj.explosion_time == block.times[r]
+            top = float(np.abs(block.states[:r]).max(initial=0.0))
+            assert traj.stats == {**block.stats, "stop": "non-finite value", "max_abs_state": top}
+        else:
+            assert (traj.explosion_time, traj.stats) == (block.explosion_time, block.stats)
+    stops = {"quartic-K10-20-40": ["completed", "completed", "non-finite value"],
+             "factorial-d1-K67": ["non-finite value"],
+             "state-overflow": ["non-finite state", "completed"],
+             "value-cut": ["non-finite value", "completed", "completed"]}
+    assert [traj.stats["stop"] for traj, _ in solved] == stops[case]
+
+
+def test_route1_memory_does_not_grow_with_the_steps():
+    # 16 Levy-area fields at d=3, N=4 (121 words): every state of 2000 steps
+    # would take 62 MB, the window 256 KiB
+    B = 16
+    fields = [operators.brownian_spec(3, 4).field.riccati] * B  # compiled before tracing
+    u0s = []
+    for lam in np.linspace(0.5, 3.5, B):
+        u0 = tensor.TensorCoeffs(3, 4)
+        u0[(2, 1)], u0[(1, 2)] = 0.5j * lam, -0.5j * lam
+        u0s.append(u0.coeffs)
+    peaks = []
+    for steps in (500, 2000):
+        tracemalloc.start()
+        try:
+            solved = scheme1_stack(fields, u0s, SchemeConfig(T=1.0, steps=steps))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [traj.status for traj, _ in solved] == ["completed"] * B
+        # per block and step: u_0, its value and a share of the times
+        assert held < 64 * B * (steps + 1)
+        peaks.append(peak)
+        del solved
+    assert peaks[1] < 1.2 * peaks[0]
+
+
 def test_ode_integrate_stack_runs_until_every_block_stops():
     # y' = y^2 entry by entry blows up at t = 1/y(0): a block-diagonal field
     calls = []
@@ -426,15 +498,19 @@ def test_route1_at_T0_takes_no_step(T):
     u0 = powerseries.gbm_laplace_initial(1.0, 1.0, 20)
     cfg = SchemeConfig(T=T, steps=50)
     traj, vals = scheme1_riccati(R, u0, cfg)
-    for f in (R, model.field.riccati):
-        again = ode_integrate(f, u0, cfg)
-        assert again.states.tobytes() == traj.states.tobytes() and again.stats == traj.stats
+    # route 1 keeps u_0 alone; ode_integrate keeps the whole states
+    full = [ode_integrate(f, u0, cfg) for f in (R, model.field.riccati)]
+    for again in full:
+        assert again.states[:, 0].tobytes() == traj.states.tobytes() and again.stats == traj.stats
+    assert full[0].states.tobytes() == full[1].states.tobytes()
     evals = 0 if T == 0 else 4 * cfg.steps
     assert len(calls) == 2 * evals
     assert (traj.stats["steps"], traj.stats["rhs_evals"]) == (evals // 4, evals)
     assert traj.status == "completed" and len(traj.times) == cfg.steps + 1
     if T == 0:
-        assert traj.states.tobytes() == np.tile(u0, (cfg.steps + 1, 1)).tobytes()
+        for again in full:
+            assert again.states.tobytes() == np.tile(u0, (cfg.steps + 1, 1)).tobytes()
+        assert traj.states.tobytes() == np.full(cfg.steps + 1, u0[0]).tobytes()
         assert vals.tobytes() == np.full(cfg.steps + 1, np.exp(u0[0])).tobytes()
         assert traj.times.tolist() == [0.0] * (cfg.steps + 1)
 
@@ -474,6 +550,17 @@ def test_scheme_config_rejects_empty_transport_grid(N, M):
     # N = 0 divided by zero in transport_lambda; M = 0 ran at lambda = 0
     with pytest.raises(ValueError, match="N >= 1 grid points and M >= 1"):
         SchemeConfig(T=1.0, N=N, M=M)
+
+
+@pytest.mark.parametrize("field", ["steps", "N", "M"])
+def test_scheme_config_rejects_a_count_that_is_not_an_integer(field):
+    # steps=1e3 failed in route 1's range(), N=2.5 read lambda 1.2 at M=3,
+    # steps=True ran one step
+    for bad in (1e3, 2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SchemeConfig(T=1.0, **{field: bad})
+    cfg = SchemeConfig(T=1.0, **{field: np.int64(3)})
+    assert getattr(cfg, field) == 3
 
 
 def test_scheme2_lambda_one_is_euler():
