@@ -167,32 +167,80 @@ def _pair(pairings: list, sig: np.ndarray, coef: np.ndarray, tmp: np.ndarray) ->
 def _factor_pattern(nonzero: np.ndarray) -> list:
     """The entries of the lower-triangular Cholesky factor L that can be
     nonzero for a symmetric matrix with the (d, d) boolean pattern
-    ``nonzero``: its own lower entries plus fill-in, and the whole diagonal.
+    ``nonzero``, read on and below the diagonal: its own lower entries plus
+    fill-in, and the pivot of every letter whose row or column has an entry.
+    A letter whose row and column are empty gets no entry, not even its
+    pivot: that pivot would be zero and add only a signed zero to its dx.
     Each entry is (i, j, ks) in row order, with ks the k < j whose products
     L_ik L_jk it subtracts."""
     d = len(nonzero)
+    low = np.tril(nonzero)
+    diffusing = np.any(low | low.T, axis=1)
     lower = np.zeros((d, d), dtype=bool)
     pattern = []
     for i in range(d):
         for j in range(i + 1):
             ks = [k for k in range(j) if lower[i, k] and lower[j, k]]
-            if i == j or nonzero[i, j] or ks:
+            if (i == j and diffusing[i]) or low[i, j] or ks:
                 lower[i, j] = True
                 pattern.append((i, j, ks))
     return pattern
 
 
-def _diffuse(pattern: list, a: np.ndarray, L: np.ndarray, dW: np.ndarray,
-             dx: np.ndarray, tmp: np.ndarray, mask: np.ndarray) -> int:
+def _runs(letters: list) -> list:
+    """The sorted ``letters`` as (letter slice, position slice) pairs, one
+    per run of consecutive letters; position p is that of letters[p]."""
+    runs = []
+    for pos, i in enumerate(letters):
+        if runs and runs[-1][0].stop == i:
+            got, at = runs[-1]
+            runs[-1] = (slice(got.start, i + 1), slice(at.start, pos + 1))
+        else:
+            runs.append((slice(i, i + 1), slice(pos, pos + 1)))
+    return runs
+
+
+def _read_model(spec: SdeSpec, N_sig: int) -> tuple:
+    """What ``simulate_sigsde`` reads of a model once per call, at signature
+    truncation ``N_sig``: (fixed, moving, pattern, noisy, quiet_fixed).
+
+    ``fixed`` and ``moving`` pair the coefficient rows with the running
+    signature (``_pair``): rows 0..d-1 are the drift and row d + i d + j is
+    a_ij for j <= i (a is symmetric; the upper triangle's rows stay zero).
+    A row that reads only the empty word is in ``fixed``: sig[0] is 1 on
+    every path, so it is formed once per block; the rest are ``moving`` and
+    formed every step.  ``pattern`` is the factor's entries
+    (``_factor_pattern``), ``noisy`` the letters with a pivot, which alone
+    take noise, and ``quiet_fixed`` the other letters whose drift reads only
+    the empty word: their dx is the same at every step of a block.
+    """
+    d = spec.d
+    b_vecs = [c.with_truncation(N_sig).coeffs.real for c in spec.b]
+    a_vecs = [[c.with_truncation(N_sig).coeffs.real for c in row] for row in spec.a]
+    rows = list(enumerate(b_vecs)) + [
+        (d + i * d + j, a_vecs[i][j]) for i in range(d) for j in range(i + 1)
+    ]
+    pairings = [(r, [(int(k), float(v[k])) for k in np.flatnonzero(v)]) for r, v in rows]
+    fixed = [(r, terms) for r, terms in pairings if terms and terms[-1][0] == 0]
+    moving = [(r, terms) for r, terms in pairings if terms and terms[-1][0] > 0]
+    pattern = _factor_pattern(np.array([[np.any(v) for v in row] for row in a_vecs]))
+    noisy = [i for i, j, _ in pattern if i == j]
+    quiet_fixed = [i for i in range(d) if i not in noisy and not np.any(b_vecs[i][1:])]
+    return fixed, moving, pattern, noisy, quiet_fixed
+
+
+def _diffuse(pattern: list, a: np.ndarray, L: np.ndarray, dW, dx: np.ndarray,
+             tmp: np.ndarray, mask: np.ndarray) -> int:
     """In place, per path: dx += L dW, with L the Cholesky factor of the
     diffusion matrix a = L L^T filled entry by entry in row order.
 
     ``a`` and ``L`` are (d, d, nb); only the entries of ``pattern`` are read
-    or written.  A pivot a_ii - sum_k L_ik^2 below zero is clamped to zero,
-    and each path so clamped is counted; below a zero pivot the factor's
-    column is zero, so a direction without diffusion takes no noise.
-    ``tmp`` and ``mask`` are (nb,) float and boolean scratch arrays.  Returns
-    the number of clamped pivots.
+    or written.  ``dW[j]`` is letter j's (nb,) normal increment, read for
+    the letters with a pivot only.  A pivot a_ii - sum_k L_ik^2 below zero is
+    clamped to zero, and each path so clamped is counted; below a zero pivot
+    the factor's column is zero, so a direction without diffusion takes no
+    noise.  ``tmp`` and ``mask`` are (nb,) float and boolean scratch arrays.
+    Returns the number of clamped pivots.
     """
     clamped = 0
     for i, j, ks in pattern:
@@ -235,14 +283,22 @@ def simulate_sigsde(
 
     The drift vector and diffusion matrix are evaluated per path by pairing
     the characteristics with the running signature; the signature must be
-    carried at a truncation at least as deep as the characteristics' support.
+    carried at a truncation ``N_sig`` at least as deep as the
+    characteristics' support, and at least 1, since each path's end point is
+    read from level 1.  The model is read once per call (``_read_model``):
+    a coefficient that reads only the empty word is formed once per block,
+    as is the whole dx of a letter without diffusion whose drift reads only
+    the empty word, such as time in a time-extended model; a step never
+    touches them.
 
     Every step factors each path's diffusion matrix a(X) = L L^T by one
     Cholesky factorisation in place (``_diffuse``), whatever the covariance,
     over the entries of L that a's pattern and fill-in allow, fixed once per
-    call.  A negative pivot, such as negative diffusion on the diagonal or an
-    indefinite matrix, is clamped to zero and counted in ``clamped_steps``,
-    once per path and pivot; a direction whose pivot is zero takes no noise.
+    call; a letter whose row of a is structurally zero has no entry and
+    takes no noise.  A negative pivot, such as negative diffusion on the
+    diagonal or an indefinite matrix, is clamped to zero and counted in
+    ``clamped_steps``, once per path and pivot; a direction whose pivot is
+    zero takes no noise.
 
     Each block keeps its running signatures in one contiguous
     (n_words, nb) array, levels first and paths last, with one view per
@@ -252,14 +308,20 @@ def simulate_sigsde(
     included, are allocated once per call, for the first block, the
     largest; a shorter last block works on their leading parts.  One helper
     thread (``_Helper``), started once per call and joined before it
-    returns, draws step k + 1's normals while this thread runs step k; only
-    it draws from a block's generator, in the order of a serial run, so the
-    results do not depend on it.  ``functional`` maps the final signatures
-    of a block, an (nb, n_words) array (the transposed view), to one sample
-    per path.
+    returns, draws step k + 1's normals and forms its increments dW, for
+    the letters that take noise, in one of two alternating buffers while
+    this thread runs step k; only it draws from a block's generator, in the
+    order of a serial run, so the results do not depend on it.
+    ``functional`` maps the final signatures of a block, an (nb, n_words)
+    array (the transposed view), to one sample per path.
     """
     if not 0 <= T < math.inf:
         raise ValueError(f"horizon must be finite and >= 0, got {T}")
+    if isinstance(N_sig, bool) or not isinstance(N_sig, numbers.Integral) or N_sig < 1:
+        raise ValueError(
+            f"N_sig must be an integer >= 1, got {N_sig!r}: end points are read "
+            "from level 1 of the signature"
+        )
     d = spec.d
     need = max(
         [c.max_support_level() for c in spec.b]
@@ -271,15 +333,10 @@ def simulate_sigsde(
         )
     offs = level_offsets(d, N_sig)
     size = n_words(d, N_sig)
-    b_vecs = [c.with_truncation(N_sig).coeffs.real for c in spec.b]
-    a_vecs = [[c.with_truncation(N_sig).coeffs.real for c in row] for row in spec.a]
-    # rows 0..d-1 pair to the drift, row d + i d + j to a_ij for j <= i (a is
-    # symmetric); the upper triangle's rows stay zero
-    rows = list(enumerate(b_vecs)) + [
-        (d + i * d + j, a_vecs[i][j]) for i in range(d) for j in range(i + 1)
-    ]
-    pairings = [(r, [(int(k), float(v[k])) for k in np.flatnonzero(v)]) for r, v in rows]
-    pattern = _factor_pattern(np.array([[np.any(v) for v in row] for row in a_vecs]))
+    fixed, moving, pattern, noisy, quiet_fixed = _read_model(spec, N_sig)
+    quiet_runs = [run for run, _ in _runs(quiet_fixed)]
+    step_runs = [run for run, _ in _runs([i for i in range(d) if i not in quiet_fixed])]
+    noisy_runs = _runs(noisy)
     steps = max(1, round(T / cfg.dt))
     dt = T / steps
     sqrt_dt = math.sqrt(dt)
@@ -304,6 +361,12 @@ def simulate_sigsde(
             flat[name] = np.zeros(count, dtype)
         return flat[name][:count].reshape(shape)
 
+    def draw(rng, z, dW):
+        # every letter's normal is drawn, so the stream is a serial run's
+        rng.standard_normal(out=z)
+        for run, at in noisy_runs:
+            np.multiply(z.T[run], sqrt_dt, out=dW[at])
+
     with _Helper() as helper:
         for blk, lo in enumerate(starts):
             nb = min(cfg.block_size, cfg.n_paths - lo)
@@ -313,10 +376,9 @@ def simulate_sigsde(
             levels = [sig[offs[n] : offs[n + 1]] for n in range(N_sig + 1)]
             work = [None] + [buffer(f"work{m}", (d**m, nb)) for m in range(1, N_sig + 1)]
             # row k holds dx / k; row 1 is the step's increment dx itself
-            dx_over = buffer("dx_over", (max(N_sig, 1) + 1, d, nb))
+            dx_over = buffer("dx_over", (N_sig + 1, d, nb))
             dx = dx_over[1]
             z = buffer("z", (nb, d))
-            dW = buffer("dW", (d, nb))
             coef = buffer("coef", (d + d * d, nb))
             tmp = buffer("tmp", (nb,))
             drift, a = coef[:d], coef[d:].reshape(d, d, nb)
@@ -332,20 +394,33 @@ def simulate_sigsde(
                 # entries outside the pattern are never read
                 L[i, j].fill(0.0)
             mask = buffer("mask", (nb,), bool)
-            # the helper draws step k + 1's normals into z while this thread
-            # runs step k, from the moment dW is formed; only it touches rng
-            draw = functools.partial(_block_rng(cfg.seed, blk).standard_normal, out=z)
-            helper.start(draw)
+            # the rows that read only sig[0] = 1, and the dx of the letters
+            # that neither diffuse nor read the path, by a step's operations
+            _pair(fixed, sig, coef, tmp)
+            for run in quiet_runs:
+                np.multiply(drift[run], dt, out=dx[run])
+                for k in range(2, N_sig + 1):
+                    np.divide(dx[run], k, out=dx_over[k][run])
+            # the helper forms step k + 1's dW in one buffer while this thread
+            # reads step k's from the other; only it touches rng
+            rng = _block_rng(cfg.seed, blk)
+            jobs, dWs = [], []
+            for parity in (0, 1):
+                dW = buffer(f"dW{parity}", (len(noisy), nb))
+                jobs.append(functools.partial(draw, rng, z, dW))
+                dWs.append(dict(zip(noisy, dW)))
+            helper.start(jobs[0])
             for step in range(steps):
                 helper.wait()
-                np.multiply(z.T, sqrt_dt, out=dW)
                 if step + 1 < steps:
-                    helper.start(draw)
-                _pair(pairings, sig, coef, tmp)
-                np.multiply(drift, dt, out=dx)
-                clamped += _diffuse(pattern, a, L, dW, dx, tmp, mask)
+                    helper.start(jobs[(step + 1) % 2])
+                _pair(moving, sig, coef, tmp)
+                for run in step_runs:
+                    np.multiply(drift[run], dt, out=dx[run])
+                clamped += _diffuse(pattern, a, L, dWs[step % 2], dx, tmp, mask)
                 for k in range(2, N_sig + 1):
-                    np.divide(dx, k, out=dx_over[k])
+                    for run in step_runs:
+                        np.divide(dx[run], k, out=dx_over[k][run])
                 _chen_exp_step(levels, dx_over, work)
             # level 1 of the signature is the path's increment (Chen)
             finals[lo : lo + nb] = np.asarray(spec.x0, dtype=np.float64) + levels[1].T
@@ -398,8 +473,8 @@ def gauss_hermite_expectation(f, variance: float) -> complex:
     h = 1/4 and halves, up to 4 times, until two consecutive evaluations
     agree to 1e-10.
     """
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    if not 0 <= variance < math.inf:
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     if variance == 0:
         return complex(f(np.array([0.0]))[0])
 

@@ -16,6 +16,7 @@ from sigcalc.montecarlo import (
     McEstimate,
     SimConfig,
     _chen_exp_step,
+    _read_model,
     _trapezoid_rule,
     estimate,
     gauss_hermite_expectation,
@@ -391,6 +392,117 @@ def test_draws_ahead_keep_their_bits_under_contention():
     assert got == [digests[:3]] * 4
 
 
+def _path_drift_spec():
+    # d=3: letter 2 takes no noise, and its drift 1 + <e_1, X> - <e_3, X> / 2
+    # reads the path; letters 1 and 3 are Brownian with correlation 0.3, so
+    # the letters that take noise are not one run
+    unit, zero = TensorCoeffs.unit(3, 2), TensorCoeffs.zero(3, 2)
+    b2 = TensorCoeffs.unit(3, 2)
+    b2[(1,)] = 1.0
+    b2[(3,)] = -0.5
+    cov = [[1.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.3, 0.0, 1.0]]
+    return SdeSpec(d=3, x0=np.array([0.0, 1.0, 0.0]), b=[zero, b2, zero.copy()],
+                   a=[[unit * c for c in row] for row in cov])
+
+
+def _quiet_zero_drift_spec():
+    # d=2: letter 1 neither drifts nor diffuses; letter 2 drifts by 1/4 and
+    # has a_22 = 1 - 2 <e_2, X>, clamped once the path passes 1/2
+    zero = TensorCoeffs.zero(2, 2)
+    a22 = TensorCoeffs.unit(2, 2)
+    a22[(2,)] = -2.0
+    return SdeSpec(d=2, x0=np.array([3.0, 0.0]), b=[zero, TensorCoeffs.unit(2, 2) * 0.25],
+                   a=[[zero.copy(), zero.copy()], [zero.copy(), a22]])
+
+
+# sha256 of sig_mean, sig_se, finals and the functional's (mean.real,
+# mean.imag, std_error), and clamped_steps, recorded while every letter still
+# took a pivot and a per-step dx (numpy 2.4.6)
+_RECORDED_QUIET = {
+    "time-extended-blocks": (
+        lambda: _time_extended_spec(0.5, 3), 3,
+        SimConfig(n_paths=1100, dt=0.02, seed=41, block_size=400),
+        lambda sig: sig[:, 2] * sig[:, 7] + sig[:, 30],
+        "3cc544db3f7ed2ffe8533ce02e2ef3a59c11386020612b3c7da8adc101f19d72",
+        "b3f7f76689eeeb897edc3d93941b72c6843da4c20359477ed2a847b43f33fc1e",
+        "d9a06b685c5df9395073ab298c51d5c054d417b26164a4630062dc63a5b32041",
+        "f85342a85a717af2fecc310d248b74f44a9ff06e1389389bb13b99251d942361",
+        0,
+    ),
+    "black-scholes-N2": (
+        lambda: black_scholes_spec(0.3, 1.0, 2), 2,
+        SimConfig(n_paths=900, dt=0.02, seed=53, block_size=512),
+        lambda sig: sig[:, 6],
+        "e2fb9ddcac1c2f5e16ec7ca1338cc378ced844d7ff01b03c2d09f399699362a2",
+        "6e032ec819ffc66e20d42799f74d992f268ed1ab25cc6beb174db22114d85535",
+        "cb8876575b36e5bb7da9093514d7b29bf36f11c018cee2270a96c8f6c446a852",
+        "0441c578700bfe1facce7f5eb0c2d74c386aef87dc0517738db3f37e8a01b856",
+        0,
+    ),
+    "black-scholes-N4": (
+        lambda: black_scholes_spec(0.3, 1.0, 4), 4,
+        SimConfig(n_paths=700, dt=0.02, seed=59, block_size=300),
+        lambda sig: sig[:, 2] ** 2 - sig[:, 20],
+        "4f9bb78ca9eb6f002c194a285ebebe1b74d4998764f15156e58d1ebddd237b0e",
+        "ae213d9fc1f4093a04144214073440274bff64f2c7ce86d67fc0f53b3e13ff7e",
+        "b51b0575a481cc0e80a249604bc0dcd9ed755481626a446adf64cfdf40e2c3d8",
+        "df44ede7162418374771caa2bca3e70a00b401fcc0cdf46a9e672b8ee6147e99",
+        0,
+    ),
+    "path-drift": (
+        _path_drift_spec, 2,
+        SimConfig(n_paths=1000, dt=0.02, seed=61, block_size=384),
+        lambda sig: sig[:, 2] * sig[:, 1],
+        "6e64951263f2f6bf9d0bfa1160579b5c092aaea9d4c6e14f0cdec2a3a40e4af0",
+        "3d394e632dfe52730f3cfda38c97972859550e4040a2c15aa7fd787e84ef3a5d",
+        "a3dcf1efce5d5bdd8d54c0fe20aae842ecb360b07c6d142bb993513a917a51a7",
+        "72573c3dd52e21247b07fe995b922d9cef8d129713c47ab924701439eaaef4e7",
+        0,
+    ),
+    "quiet-zero-drift": (
+        _quiet_zero_drift_spec, 2,
+        SimConfig(n_paths=800, dt=0.01, seed=67, block_size=300),
+        lambda sig: sig[:, 2] + sig[:, 4],
+        "5187fbdc0482850a2d60dfff47f5f52f368adb8a181a7bd4586ca5a95265dc8b",
+        "22d819030f13f21e1b82f5c417d1c3a5981327bf85200335a604caf90081299c",
+        "2c09d21011b4be0a7db762cf8bc64af991f40b424f2a9dbbd6401d6ce496cfa9",
+        "31c55f4eef3863a0e6b28108546f40a85016f0c3ccf0aa6405037c56ab0b5d4e",
+        33167,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED_QUIET))
+def test_letters_without_noise_keep_their_recorded_bits(name):
+    # a skipped pivot added only a signed zero to dx, and a letter's fixed dx
+    # is the value every step formed
+    make, N, cfg, fn, *digests, clamped = _RECORDED_QUIET[name]
+    res = simulate_sigsde(make(), cfg, T=1.0, N_sig=N, functional=fn)
+    est = res.functional
+    got = [_sha(res.sig_mean), _sha(res.sig_se), _sha(res.finals),
+           _sha(np.array([est.mean.real, est.mean.imag, est.std_error]))]
+    assert got == digests
+    assert res.clamped_steps == clamped
+
+
+@pytest.mark.parametrize("make, N, noisy, quiet_fixed", [
+    (lambda: black_scholes_spec(0.2, 1.0, 3), 3, [1], [0]),
+    (lambda: brownian_spec(2, 2), 2, [0, 1], []),
+    (lambda: brownian_spec(3, 2, [[1.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]), 2, [0, 1, 2], []),
+    (lambda: _time_extended_spec(0.5, 3), 3, [1, 2], [0]),
+    (_path_drift_spec, 2, [0, 2], []),
+    (_quiet_zero_drift_spec, 2, [1], [0]),
+])
+def test_which_letters_take_noise_or_a_fixed_step(make, N, noisy, quiet_fixed):
+    fixed, moving, pattern, got_noisy, got_quiet_fixed = _read_model(make(), N)
+    assert (got_noisy, got_quiet_fixed) == (noisy, quiet_fixed)
+    # a letter without noise has no factor entry; a fixed letter's drift row
+    # is formed per block, never per step
+    assert all(i in noisy and j in noisy for i, j, _ in pattern)
+    assert not {r for r, _ in moving} & set(quiet_fixed)
+    assert all(k == 0 for _, terms in fixed for k, _ in terms)
+
+
 class _FailingDraws:
     """A block generator whose draw number ``fail_at`` raises."""
 
@@ -453,6 +565,14 @@ def test_sigsde_rejects_a_bad_horizon(T):
         simulate_sigsde(brownian_spec(1, 1), SimConfig(n_paths=4), T=T, N_sig=1)
 
 
+@pytest.mark.parametrize("N_sig", [0, -1, 2.0, True, "3"])
+def test_sigsde_rejects_a_truncation_that_is_not_a_positive_integer(N_sig):
+    # N_sig=0 ran every step, then failed at levels[1]; N_sig=2.0 failed in
+    # level_offsets
+    with pytest.raises(ValueError, match="integer >= 1.*level 1 of the signature"):
+        simulate_sigsde(brownian_spec(2, 1), SimConfig(n_paths=4, dt=0.5), T=1.0, N_sig=N_sig)
+
+
 @pytest.mark.parametrize("dt", [math.nan, math.inf])
 def test_sim_config_rejects_a_non_finite_step(dt):
     # nan failed later in round(T / dt); inf ran one step of length T
@@ -511,6 +631,21 @@ def test_gauss_hermite_closed_forms():
 
 def test_gauss_hermite_zero_variance():
     assert abs(gauss_hermite_expectation(lambda z: np.cos(z), 0.0) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, -1.0])
+def test_gauss_hermite_rejects_a_bad_variance(variance):
+    # nan and inf ran five rules, with a RuntimeWarning, before failing to
+    # stabilize
+    calls = []
+
+    def f(z):
+        calls.append(None)
+        return np.cos(z)
+
+    with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+        gauss_hermite_expectation(f, variance)
+    assert not calls
 
 
 def test_trapezoid_rule_is_exact_at_every_doubling():
