@@ -379,6 +379,8 @@ def simulate_sigsde(
             dx_over = buffer("dx_over", (N_sig + 1, d, nb))
             dx = dx_over[1]
             z = buffer("z", (nb, d))
+            # row r of each is the increment of letter noisy[r]
+            dW_bufs = buffer("dW", (2, len(noisy), nb))
             coef = buffer("coef", (d + d * d, nb))
             tmp = buffer("tmp", (nb,))
             drift, a = coef[:d], coef[d:].reshape(d, d, nb)
@@ -404,11 +406,8 @@ def simulate_sigsde(
             # the helper forms step k + 1's dW in one buffer while this thread
             # reads step k's from the other; only it touches rng
             rng = _block_rng(cfg.seed, blk)
-            jobs, dWs = [], []
-            for parity in (0, 1):
-                dW = buffer(f"dW{parity}", (len(noisy), nb))
-                jobs.append(functools.partial(draw, rng, z, dW))
-                dWs.append(dict(zip(noisy, dW)))
+            jobs = [functools.partial(draw, rng, z, dW) for dW in dW_bufs]
+            dWs = [dict(zip(noisy, dW)) for dW in dW_bufs]
             helper.start(jobs[0])
             for step in range(steps):
                 helper.wait()
