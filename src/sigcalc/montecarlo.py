@@ -4,8 +4,8 @@ Euler discretization of the signature-driven models, with the running
 truncated signature updated multiplicatively each step.  Estimates are
 reproducible: paths are split into fixed-size blocks and every block draws
 from its own counter-derived substream, so results depend only on
-(seed, config).  A helper thread draws each step's normals while the
-previous step runs, in the order of a serial run, so it changes no result.
+(seed, config).  A one-worker thread pool draws each step's normals while
+the previous step runs, in the order of a serial run, so it changes no result.
 
 The Gaussian quadrature oracle, ``gauss_hermite_expectation`` (a historical
 name, read by callers and by the benchmark's tracer), is the trapezoidal rule
@@ -15,10 +15,8 @@ node solver.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,56 +69,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-class _Helper:
-    """One thread beside the caller that runs one job at a time, such as the
-    next step's normal draws while the caller runs the current step: numpy's
-    generators and ufuncs release the interpreter lock while they fill an
-    array, so the two overlap.
-
-    ``start(job)`` hands the thread a callable and returns at once;
-    ``wait()`` blocks until that job is done and raises what it raised.
-    Jobs alternate with waits: start, wait, start, ...  Used as a context
-    manager, one per call; leaving lets a job still running finish, then
-    joins the thread, on every exit path.
-    """
-
-    def __init__(self):
-        self._go = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._job = self._error = None
-        self._thread = threading.Thread(target=self._serve, name="sigcalc-helper", daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._job = None
-        self._go.release()
-        self._thread.join()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            try:
-                self._job()
-            except BaseException as err:  # raised again by wait()
-                self._error = err
-            self._done.release()
-
-    def start(self, job) -> None:
-        self._job = job
-        self._go.release()
-
-    def wait(self) -> None:
-        self._done.acquire()
-        err, self._error = self._error, None
-        if err is not None:
-            raise err
-
-
 def _chen_exp_step(levels: list, dx_over: np.ndarray, work: list) -> None:
     """In place, per path: S <- S (x) exp(dx), the Chen update by one linear
     segment, on the levels-first layout.
@@ -152,13 +100,16 @@ def _chen_exp_step(levels: list, dx_over: np.ndarray, work: list) -> None:
 
 
 def _pair(pairings: list, sig: np.ndarray, coef: np.ndarray, tmp: np.ndarray) -> None:
-    """coef[r] <- sum_k c_k sig[k] per path, over the nonzero words of each
-    characteristic; rows without any stay as they are (zero)."""
+    """coef[r] <- sum_k c_k sig[k] per path, over the nonzero words, one or
+    more, of each listed characteristic; other rows stay as they are.  An
+    empty-word term is the constant c_0 (sig[0] is 1), added to the next
+    term's product one pass sooner: c_0 + t == t + c_0, the same bits."""
     for r, terms in pairings:
-        if not terms:
-            continue
-        (k, c), rest = terms[0], terms[1:]
+        lead = len(terms) > 1 and terms[0][0] == 0
+        (k, c), *rest = terms[1:] if lead else terms
         np.multiply(sig[k], c, out=coef[r])
+        if lead:
+            np.add(coef[r], terms[0][1], out=coef[r])
         for k, c in rest:
             np.multiply(sig[k], c, out=tmp)
             np.add(coef[r], tmp, out=coef[r])
@@ -306,15 +257,20 @@ def simulate_sigsde(
     step's segment, level N down to level 1, by the restricted exponential
     in Horner form (``_chen_exp_step``).  All buffers, the normal draws
     included, are allocated once per call, for the first block, the
-    largest; a shorter last block works on their leading parts.  One helper
-    thread (``_Helper``), started once per call and joined before it
-    returns, draws step k + 1's normals and forms its increments dW, for
-    the letters that take noise, in one of two alternating buffers while
-    this thread runs step k; only it draws from a block's generator, in the
-    order of a serial run, so the results do not depend on it.
+    largest; a shorter last block works on their leading parts.  The one
+    worker of a ``ThreadPoolExecutor``, made per call and joined before it
+    returns, draws step k + 1's normals and forms its increments dW, for the
+    letters that take noise, in one of two alternating buffers while this
+    thread runs step k (numpy's generators and ufuncs release the
+    interpreter lock while they fill an array, so the two overlap); only it
+    draws from a block's generator, in the order of a serial run, so the
+    results do not depend on it.
     ``functional`` maps the final signatures of a block, an (nb, n_words)
     array (the transposed view), to one sample per path.
     """
+    # imported here: concurrent.futures loads logging, which only simulating runs need
+    from concurrent.futures import ThreadPoolExecutor
+
     if not 0 <= T < math.inf:
         raise ValueError(f"horizon must be finite and >= 0, got {T}")
     if isinstance(N_sig, bool) or not isinstance(N_sig, numbers.Integral) or N_sig < 1:
@@ -367,7 +323,7 @@ def simulate_sigsde(
         for run, at in noisy_runs:
             np.multiply(z.T[run], sqrt_dt, out=dW[at])
 
-    with _Helper() as helper:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sigcalc-helper") as pool:
         for blk, lo in enumerate(starts):
             nb = min(cfg.block_size, cfg.n_paths - lo)
             sig = buffer("sig", (size, nb))
@@ -403,16 +359,15 @@ def simulate_sigsde(
                 np.multiply(drift[run], dt, out=dx[run])
                 for k in range(2, N_sig + 1):
                     np.divide(dx[run], k, out=dx_over[k][run])
-            # the helper forms step k + 1's dW in one buffer while this thread
+            # the worker forms step k + 1's dW in one buffer while this thread
             # reads step k's from the other; only it touches rng
             rng = _block_rng(cfg.seed, blk)
-            jobs = [functools.partial(draw, rng, z, dW) for dW in dW_bufs]
             dWs = [dict(zip(noisy, dW)) for dW in dW_bufs]
-            helper.start(jobs[0])
+            drawn = pool.submit(draw, rng, z, dW_bufs[0])
             for step in range(steps):
-                helper.wait()
+                drawn.result()
                 if step + 1 < steps:
-                    helper.start(jobs[(step + 1) % 2])
+                    drawn = pool.submit(draw, rng, z, dW_bufs[(step + 1) % 2])
                 _pair(moving, sig, coef, tmp)
                 for run in step_runs:
                     np.multiply(drift[run], dt, out=dx[run])

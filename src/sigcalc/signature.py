@@ -33,6 +33,8 @@ class PiecewisePath:
             raise ValueError("a path needs at least two samples")
         if self.points.shape[0] != len(self.times):
             raise ValueError("times and points disagree in length")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.points))):
+            raise ValueError("times and points must be finite numbers")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 

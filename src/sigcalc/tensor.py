@@ -376,6 +376,8 @@ class TensorCoeffs:
             word = tuple(int(t) for t in wtxt.split(",")) if wtxt else EMPTY_WORD
             re_ = float(parts[1].split("=", 1)[1])
             im_ = float(parts[2].split("=", 1)[1])
+            if not np.all(np.isfinite((re_, im_))):
+                raise ValueError(f"coefficient is not a finite number: {line!r}")
             entries.append((word, complex(re_, im_)))
         if d is None:
             d = max((max(w) for w, _ in entries if w), default=1)

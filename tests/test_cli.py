@@ -550,8 +550,11 @@ def test_algebra_sig_command(runner, tmp_path, rng):
         ("w.txt", "word=1,2,1 re=1.0 im=0.0\n", ["exp", "--N", "2"], "word=1,2,1 has length 3"),
         ("hdr.csv", "t,x1,x2\n", ["sig"], "at least two samples"),
         ("rag.csv", "t,x1\n0,0\n1\n", ["sig"], "line 3 has 1 fields"),
+        # non-finite numbers, as the float options reject them
+        ("nan.csv", "t,x1\n0,0\nnan,1\n2,3\n", ["sig", "--check"], "must be finite numbers"),
+        ("nan.txt", "word= re=nan im=0\n", ["exp"], "not a finite number"),
     ],
-    ids=["word-above-N", "header-only", "ragged-row"],
+    ids=["word-above-N", "header-only", "ragged-row", "nan-time", "nan-coefficient"],
 )
 def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, args, message):
     f = tmp_path / name
@@ -564,6 +567,7 @@ def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, arg
     assert not isinstance(result.exception, (IndexError, ValueError))
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ") and message in lines[0]
+    assert not list(tmp_path.glob("o*"))  # no report, NaN or otherwise
 
 
 @pytest.mark.parametrize(

@@ -538,7 +538,7 @@ def test_no_helper_thread_outlives_a_call(exit_path, monkeypatch):
     seen = []
 
     def functional(sig):
-        seen.append({t.name for t in threading.enumerate()})
+        seen.append([t for t in threading.enumerate() if t.name.startswith("sigcalc-helper")])
         return sig[:, 0]
 
     if exit_path == "functional":
@@ -552,7 +552,9 @@ def test_no_helper_thread_outlives_a_call(exit_path, monkeypatch):
     cfg = SimConfig(n_paths=300, dt=0.05, seed=43, block_size=128)
     if exit_path == "return":
         simulate_sigsde(brownian_spec(2, 2), cfg, T=1.0, N_sig=2, functional=functional)
-        assert len(seen) == 3 and all("sigcalc-helper" in names for names in seen)
+        # one worker serves every block of a call, not one per block
+        assert len(seen) == 3 and all(len(helpers) == 1 for helpers in seen)
+        assert seen[0][0] is seen[1][0] is seen[2][0]
     else:
         with pytest.raises(RuntimeError, match=f"{exit_path} failed"):
             simulate_sigsde(brownian_spec(2, 2), cfg, T=1.0, N_sig=2, functional=functional)

@@ -158,3 +158,14 @@ def test_path_csv_ragged_row_names_its_line():
     text = "t,x1,x2\n0,0,0\n\n1,2\n2,1,1\n"
     with pytest.raises(ValueError, match=r"line 4 has 2 fields, the header 3: '1,2'"):
         PiecewisePath.from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["t,x1\n0,0\nnan,1\n2,3\n", "t,x1\n0,0\n1,nan\n2,3\n", "t,x1\n0,0\n1,inf\n2,3\n"],
+    ids=["nan-time", "nan-point", "inf-point"],
+)
+def test_path_csv_with_a_non_finite_number_is_rejected(text):
+    # a NaN time passed the increasing-times test (nan <= 0 is False), and
+    # a NaN point went on into the signature and the report
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        PiecewisePath.from_csv(text)

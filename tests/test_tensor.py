@@ -355,6 +355,13 @@ def test_text_word_above_truncation_is_named():
     assert TensorCoeffs.from_text(text, d=2).N == 3
 
 
+@pytest.mark.parametrize("value", ["re=nan im=0", "re=1 im=inf", "re=-inf im=0"])
+def test_text_non_finite_coefficient_is_rejected(value):
+    # a NaN coefficient was read in as it stood
+    with pytest.raises(ValueError, match="not a finite number: 'word=1 " + value):
+        TensorCoeffs.from_text(f"word=1 {value}\n", d=2, N=1)
+
+
 def test_truncation_and_support(rng):
     d, N = 2, 4
     u = TensorCoeffs.basis(d, N, (1, 2, 1))
