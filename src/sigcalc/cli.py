@@ -505,7 +505,10 @@ def algebra_exp(a_path, d, N, out, check):
 def algebra_log(a_path, d, N, out, check):
     """Shuffle logarithm of a coefficient file."""
     a = _load_coeffs(a_path, d, N)
-    res = a.shuffle_log()
+    try:
+        res = a.shuffle_log()
+    except ValueError as exc:  # a zero scalar part
+        raise click.ClickException(f"{a_path}: {exc}") from None
     report = RunReport("algebra log", {"d": a.d, "N": a.N})
     back = res.shuffle_exp()
     report.add_check(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,12 +34,14 @@ class SimConfig:
     block_size: int = 65_536
 
     def __post_init__(self):
-        for name in ("n_paths", "block_size"):  # numpy integers too, not bool
+        for name in ("n_paths", "block_size", "seed"):  # numpy integers too, not bool
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1 or self.block_size < 1:
             raise ValueError("path and block counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.dt}")
 
@@ -387,7 +390,8 @@ def simulate_sigsde(
             m2 += sig.sum(axis=1) + delta**2 * (lo * nb / (lo + nb))
 
     n = cfg.n_paths
-    se = np.sqrt(m2 / max(n - 1, 1) / n)
+    # one path gives no spread, as in estimate
+    se = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.full(size, math.inf)
     fn_est = estimate(np.concatenate(fn_samples)) if functional is not None else None
     return SigSimResult(
         sig_mean=mean, sig_se=se, finals=finals, functional=fn_est, clamped_steps=clamped
@@ -398,24 +402,21 @@ def simulate_sigsde(
 # step h, so every node is exact, over |x| <= 38.5, past which the normal
 # density underflows; weights exp(-x^2/2) h / sqrt(2 pi).
 _NORMAL_REACH = 38.5
-_trapezoid_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@lru_cache(maxsize=None)
 def _trapezoid_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the step-h rule, computed once per h (a
     race between threads only computes them twice).  Nodes whose weight
     underflows to 0 are left out."""
-    got = _trapezoid_cache.get(h)
-    if got is None:
-        j = int(_NORMAL_REACH / h)
-        x = np.arange(-j, j + 1) * h
-        w = np.exp(-0.5 * x * x) * (h / math.sqrt(2.0 * math.pi))
-        keep = w > 0.0
-        got = (x[keep], w[keep])
-        for a in got:
-            a.setflags(write=False)
-        _trapezoid_cache[h] = got
-    return got
+    j = int(_NORMAL_REACH / h)
+    x = np.arange(-j, j + 1) * h
+    w = np.exp(-0.5 * x * x) * (h / math.sqrt(2.0 * math.pi))
+    keep = w > 0.0
+    rule = (x[keep], w[keep])
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def gauss_hermite_expectation(f, variance: float) -> complex:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .operators import QuadraticField, _Terms
 
@@ -72,7 +71,7 @@ class Model1D:
                     f"x0={self.x0} lies outside the state interval [{lo}, {hi}] "
                     f"of {self.name}"
                 )
-            vals = P.polyval(np.linspace(lo, hi, 201), a)
+            vals = np.polyval(a[::-1], np.linspace(lo, hi, 201))
             if np.max(np.abs(vals.imag)) > 0 or np.min(vals.real) < -1e-9:
                 raise ValueError(
                     f"squared diffusion of {self.name} is negative on "

@@ -129,8 +129,6 @@ def ode_integrate(
     f, y, n, starts = _rk4_start(f, y0, starts)
     Y = np.empty((cfg.steps + 1, len(y)), dtype=np.complex128)
     rows = _rk4(f, y, cfg, starts, Y, None)  # steps + 1 rows never fill
-    if not cfg.T / cfg.steps:
-        Y[1:], rows = y, len(Y)
     Y = Y[:rows, :n]
     times, (max_abs, finite) = _times(cfg, rows), _reduce(Y, starts)
     kept = _kept(finite)
@@ -215,8 +213,6 @@ def _route1(f, u0, cfg: SchemeConfig, starts) -> list[tuple[Trajectory, np.ndarr
     window = np.empty((rows, len(y)), dtype=np.complex128)
     flush(window[:_rk4(f, y, cfg, starts, window, flush)])
     u, max_abs, finite = (np.concatenate(p) for p in zip(*parts))
-    if not cfg.T / cfg.steps:  # every row is u0
-        u, max_abs, finite = (np.repeat(a, cfg.steps + 1, axis=0) for a in (u, max_abs, finite))
     u = np.ascontiguousarray(u.T)
     times = _times(cfg, len(finite))
     solved = []
@@ -254,21 +250,20 @@ def _rk4(f, y, cfg: SchemeConfig, starts: np.ndarray, window: np.ndarray, flush)
     """Route 1's one RK4 loop.  y and then each step's state are written to
     the next row of ``window``; when every row is written, ``flush(window)``
     is called and writing starts again at row 0.  Returns the rows written
-    since the last flush.  Stops after cfg.steps steps, at once at T = 0,
-    or at the first step whose state is not finite in any block."""
+    since the last flush.  Stops after cfg.steps steps (at T = 0 keeping y,
+    f not evaluated) or at the first whose state is not finite in any block."""
     h = cfg.T / cfg.steps
     h2, h6 = 0.5 * h, h / 6.0
     window[0] = y
     i = 1
-    if not h:
-        return i
     with np.errstate(all="ignore"):
         for _ in range(cfg.steps):
-            k1 = f(y)
-            k2 = f(y + h2 * k1)
-            k3 = f(y + h2 * k2)
-            k4 = f(y + h * k3)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if h:
+                k1 = f(y)
+                k2 = f(y + h2 * k1)
+                k3 = f(y + h2 * k2)
+                k4 = f(y + h * k3)
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if i == len(window):
                 flush(window)
                 i = 0
@@ -499,6 +494,8 @@ def expected_signature(spec: SdeSpec, N: int, T: float) -> np.ndarray:
     Taylor series with scaling (Al-Mohy and Higham, SIAM J. Sci. Comput. 2011):
     s = ceil(T ||G^T||_1) steps, each summed until two successive terms fall
     below 2^-53 ||F|| in max norm, or one vanishes (a nilpotent field)."""
+    if not 0 <= T < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {T}")
     field = linear_field(spec, N)
     k, p, w, n = field.linear.k, field.linear.p, field.linear.w, field.size
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,20 +133,11 @@ class _Tables:
         self.cc_i, self.cc_j, self.cc_k = (np.concatenate(x) for x in (ci, cj, ck))
 
 
-_table_cache: dict[tuple[int, int], _Tables] = {}
-_table_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def tables(d: int, N: int) -> _Tables:
-    key = (d, N)
-    tab = _table_cache.get(key)
-    if tab is None:
-        with _table_lock:
-            tab = _table_cache.get(key)
-            if tab is None:
-                tab = _Tables(d, N)
-                _table_cache[key] = tab
-    return tab
+    """The product tables of (d, N), built once per process and shared by
+    every caller (a race between threads only builds them twice)."""
+    return _Tables(d, N)
 
 
 class Partition(Enum):

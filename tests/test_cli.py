@@ -200,7 +200,8 @@ def test_gbm_laplace_long_horizon_fails_its_checks_without_a_traceback(runner, t
 
 def test_quadrature_runs_import_no_scipy(tmp_path):
     # the Gaussian quadrature is numpy only: a fresh interpreter that runs
-    # gbm-laplace and bm-quartic holds no scipy module afterwards
+    # gbm-laplace and bm-quartic holds no scipy module afterwards, nor
+    # numpy.polynomial, whose 9 modules Model1D's np.polyval does without
     code = textwrap.dedent("""
         import sys
         from sigcalc.cli import main
@@ -211,7 +212,8 @@ def test_quadrature_runs_import_no_scipy(tmp_path):
                 main(args)
             except SystemExit as exc:
                 assert exc.code == 0, (args, exc.code)
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")))
     """)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
@@ -449,14 +451,14 @@ def test_expected_sig_forms_no_dense_generator(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
 
 
-def test_expected_sig_builds_no_shuffle_table(runner, tmp_path, monkeypatch):
+def test_expected_sig_builds_no_shuffle_table(runner, tmp_path):
     # the word column comes from all_words, not from tables(2, level)
     from sigcalc import tensor
 
-    monkeypatch.setattr(tensor, "_table_cache", {})
+    before = tensor.tables.cache_info()
     result = runner.invoke(main, ["expected-sig", "--level", "4", "--out", str(tmp_path / "esig")])
     assert result.exit_code == 0, result.output
-    assert tensor._table_cache == {}
+    assert tensor.tables.cache_info() == before  # no call, not even a hit
 
 
 def test_csv_byte_stable(runner, tmp_path):
@@ -553,8 +555,11 @@ def test_algebra_sig_command(runner, tmp_path, rng):
         # non-finite numbers, as the float options reject them
         ("nan.csv", "t,x1\n0,0\nnan,1\n2,3\n", ["sig", "--check"], "must be finite numbers"),
         ("nan.txt", "word= re=nan im=0\n", ["exp"], "not a finite number"),
+        # the shuffle logarithm of a zero scalar part is log 0
+        ("zero.txt", "word=1 re=1.0 im=0.0\n", ["log"], "nonzero scalar part"),
     ],
-    ids=["word-above-N", "header-only", "ragged-row", "nan-time", "nan-coefficient"],
+    ids=["word-above-N", "header-only", "ragged-row", "nan-time", "nan-coefficient",
+         "log-of-zero-scalar"],
 )
 def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, args, message):
     f = tmp_path / name

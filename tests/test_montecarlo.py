@@ -164,16 +164,16 @@ def test_sigsde_is_seed_deterministic_across_partial_blocks():
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
-def test_sigsde_builds_no_shuffle_table(monkeypatch):
+def test_sigsde_builds_no_shuffle_table():
     # offsets and sizes come from level_offsets and n_words; a cold
     # tables(2, 8) alone costs about 0.15 s
     from sigcalc import tensor
 
-    monkeypatch.setattr(tensor, "_table_cache", {})
+    before = tensor.tables.cache_info()
     spec = black_scholes_spec(0.3, 1.0, 8)
     simulate_sigsde(spec, SimConfig(n_paths=4, dt=0.5, seed=1), T=1.0, N_sig=8)
     segment_signature(np.array([0.1, -0.2]), 8)
-    assert tensor._table_cache == {}
+    assert tensor.tables.cache_info() == before  # no call, not even a hit
 
 
 def test_expected_correlated_brownian_signature_vs_closed_form():
@@ -218,6 +218,14 @@ def test_time_extended_correlated_model_keeps_time_deterministic():
         assert abs(res.sig_mean[i] - 1.0 / math.factorial(n)) <= 1e-12, n
         assert res.sig_se[i] <= 1e-15, n
     assert res.clamped_steps == 0
+
+
+def test_one_path_has_no_standard_error():
+    # one path gives no spread: sig_se read 0 for every word, an exact
+    # result, where estimate on one sample gives inf
+    res = simulate_sigsde(brownian_spec(2, 2), SimConfig(n_paths=1, dt=0.5, seed=1), T=1.0,
+                          N_sig=2, functional=lambda s: s[:, 0])
+    assert np.all(res.sig_se == math.inf) and res.functional.std_error == math.inf
 
 
 def _peak_bytes(spec, cfg):
@@ -582,14 +590,20 @@ def test_sim_config_rejects_a_non_finite_step(dt):
         SimConfig(dt=dt)
 
 
-@pytest.mark.parametrize("field", ["n_paths", "block_size"])
+@pytest.mark.parametrize("field", ["n_paths", "block_size", "seed"])
 def test_sim_config_rejects_a_count_that_is_not_an_integer(field):
-    # n_paths=100.5 was accepted
+    # n_paths=100.5 was accepted; seed=True ran as seed 1
     for bad in (100.5, 1e3, True, "3"):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SimConfig(**{field: bad})
     cfg = SimConfig(**{field: np.int64(3)})
     assert getattr(cfg, field) == 3
+
+
+def test_sim_config_rejects_a_negative_seed():
+    # seed=-1 failed in numpy's SeedSequence at the first block
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(seed=-1)
 
 
 def test_block_spread_needs_no_temporaries():

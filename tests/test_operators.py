@@ -211,15 +211,15 @@ def test_linear_matrix_rejects_wide_support(rng):
         linear_matrix(spec, N)
 
 
-def test_linear_matrix_builds_no_shuffle_table(monkeypatch):
+def test_linear_matrix_builds_no_shuffle_table():
     # the support check reads word levels from level_offsets; a cold
     # tables(2, 8) alone costs about 0.2 s
     from sigcalc import tensor
 
-    monkeypatch.setattr(tensor, "_table_cache", {})
+    before = tensor.tables.cache_info()
     G = linear_matrix(black_scholes_spec(0.25, 1.3, 8), 8)
     assert G.shape == (511, 511)
-    assert tensor._table_cache == {}
+    assert tensor.tables.cache_info() == before  # no call, not even a hit
 
 
 def test_expected_signature_brownian_closed_form():

@@ -540,9 +540,12 @@ def test_scheme2_weights_normalize():
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
 def test_scheme_config_rejects_a_horizon_that_is_not_finite_and_nonnegative(T):
-    # T = nan made route 1 explode at t = nan; T = inf overflowed route 2's set-up
-    with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
-        SchemeConfig(T=T)
+    # T = nan made route 1 explode at t = nan; T = inf overflowed route 2's
+    # set-up; expected_signature ran T = -1 as the backward flow
+    for solve in (lambda: SchemeConfig(T=T),
+                  lambda: expected_signature(operators.brownian_spec(2, 2), 2, T)):
+        with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+            solve()
 
 
 @pytest.mark.parametrize("N,M", [(0, 80), (80, 0), (-1, 1)])
