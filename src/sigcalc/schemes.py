@@ -111,11 +111,13 @@ def ode_integrate(
     ends when every block has stopped or at T.  At T = 0 the state cannot
     move: every row is y0 and f is not evaluated.
 
-    f is a callable, or a compiled field (a ``_Terms`` of len(y0) entries).
-    A field's states carry its trailing 1, whose derivative is exactly 0,
-    and each stage calls ``f.kernel`` on them: no copy, check or scatter
-    per evaluation.  Either way the step is the same arithmetic, so the
-    field and ``f.apply`` give the same bits.
+    f is a callable returning complex128, or a compiled field (a ``_Terms``
+    of len(y0) entries).  f's argument may be a view of a kept state row,
+    so f must neither write to it nor keep it.  A field's states carry its
+    trailing 1, whose derivative is exactly 0, and each stage calls
+    ``f.kernel`` on them: no copy, check or scatter per evaluation.  Either
+    way the step is the same arithmetic, so the field and ``f.apply`` give
+    the same bits.
 
     Every state is kept, in its row of one (steps + 1)-row array: route 1
     (``scheme1_riccati``, ``scheme1_stack``) runs the same loop but keeps u_0
@@ -250,28 +252,44 @@ def _rk4(f, y, cfg: SchemeConfig, starts: np.ndarray, window: np.ndarray, flush)
     """Route 1's one RK4 loop.  y and then each step's state are written to
     the next row of ``window``; when every row is written, ``flush(window)``
     is called and writing starts again at row 0.  Returns the rows written
-    since the last flush.  Stops after cfg.steps steps (at T = 0 keeping y,
-    f not evaluated) or at the first whose state is not finite in any block."""
+    since the last flush.  Stops after cfg.steps steps or at the first whose
+    state is not finite in any block.  At T = 0, f is not evaluated: the
+    first step's row is y, tested as a step's, and the later rows repeat it
+    one slice of the window per fill, with the same flushes.
+
+    A step has the operands, order and bits of ``y + h/6 (k1 + 2 k2 + 2 k3
+    + k4)`` for an f returning complex128, but its scalars are complex128
+    once per solve, the stage sum is formed in two arrays made once, and
+    the new state is written into its row, which is then y: f's argument
+    may be a view of a kept row, so f must neither write to it nor keep it."""
     h = cfg.T / cfg.steps
-    h2, h6 = 0.5 * h, h / 6.0
+    h1, h2, h6, two = (np.array(c, dtype=np.complex128) for c in (h, 0.5 * h, h / 6.0, 2.0))
+    s, t = np.empty_like(y), np.empty_like(y)
     window[0] = y
-    i = 1
+    i, left = 1, cfg.steps
     with np.errstate(all="ignore"):
-        for _ in range(cfg.steps):
-            if h:
-                k1 = f(y)
-                k2 = f(y + h2 * k1)
-                k3 = f(y + h2 * k2)
-                k4 = f(y + h * k3)
-                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        while left:
             if i == len(window):
                 flush(window)
                 i = 0
-            window[i] = y
-            i += 1
+            if h:
+                k1 = f(y)  # each stage input is y + (h k), in a fresh array
+                k2 = f(np.add(y, a := h2 * k1, out=a))
+                k3 = f(np.add(y, a := h2 * k2, out=a))
+                k4 = f(np.add(y, a := h1 * k3, out=a))
+                np.add(k1, np.multiply(two, k2, out=s), out=s)
+                np.add(s, np.multiply(two, k3, out=t), out=s)
+                np.multiply(h6, np.add(s, k4, out=s), out=s)
+                y = np.add(y, s, out=window[i])
+                j = i + 1
+            else:  # the state cannot move: after the first step, fill the window
+                j = i + 1 if left == cfg.steps else min(len(window), i + left)
+                window[i:j] = y
+            left -= j - i
+            i = j
             # the sum is not finite when an entry is not (nor, rarely, when
             # finite entries overflow it): then test every block
-            if (not cmath.isfinite(y.sum())
+            if (not cmath.isfinite(np.add.reduce(y))
                     and not np.logical_and.reduceat(np.isfinite(y), starts).any()):
                 break
     return i
@@ -279,9 +297,14 @@ def _rk4(f, y, cfg: SchemeConfig, starts: np.ndarray, window: np.ndarray, flush)
 
 def _reduce(rows: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row and per block of the states: the largest |entry|, and whether
-    every entry is finite."""
-    return (np.maximum.reduceat(np.abs(rows), starts, axis=1),
-            np.logical_and.reduceat(np.isfinite(rows), starts, axis=1))
+    every entry is finite.  A finite largest |entry| has finite entries, so
+    the entries are tested only when some largest |entry| is not finite
+    (a NaN or infinite entry, or a finite one whose |entry| overflows)."""
+    size = np.maximum.reduceat(np.abs(rows), starts, axis=1)
+    finite = np.isfinite(size)
+    if not finite.all():
+        finite = np.logical_and.reduceat(np.isfinite(rows), starts, axis=1)
+    return size, finite
 
 
 def _kept(finite: np.ndarray) -> list[int]:

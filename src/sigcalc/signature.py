@@ -54,6 +54,8 @@ class PiecewisePath:
             h != f"x{i}" for i, h in enumerate(header[1:], start=1)
         ):
             raise ValueError(f"bad path header: {lines[0][1]!r}")
+        if len(header) < 2:
+            raise ValueError(f"path header {lines[0][1]!r} has no coordinate column x1")
         rows = []
         for i, line in lines[1:]:
             fields = line.split(",")

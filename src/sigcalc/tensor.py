@@ -359,13 +359,12 @@ class TensorCoeffs:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 3 or not parts[0].startswith("word="):
-                raise ValueError(f"malformed coefficient line: {line!r}")
-            wtxt = parts[0][len("word=") :]
+            fields = [p.partition("=") for p in line.split()]
+            if [f[:2] for f in fields] != [("word", "="), ("re", "="), ("im", "=")]:
+                raise ValueError(f"malformed coefficient line, not word=... re=... im=...: {line!r}")
+            wtxt, re_, im_ = (f[2] for f in fields)
             word = tuple(int(t) for t in wtxt.split(",")) if wtxt else EMPTY_WORD
-            re_ = float(parts[1].split("=", 1)[1])
-            im_ = float(parts[2].split("=", 1)[1])
+            re_, im_ = float(re_), float(im_)
             if not np.all(np.isfinite((re_, im_))):
                 raise ValueError(f"coefficient is not a finite number: {line!r}")
             entries.append((word, complex(re_, im_)))

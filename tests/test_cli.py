@@ -557,9 +557,12 @@ def test_algebra_sig_command(runner, tmp_path, rng):
         ("nan.txt", "word= re=nan im=0\n", ["exp"], "not a finite number"),
         # the shuffle logarithm of a zero scalar part is log 0
         ("zero.txt", "word=1 re=1.0 im=0.0\n", ["log"], "nonzero scalar part"),
+        # the fields are read by their labels, not by their places
+        ("swap.txt", "word=1 im=2 re=3\n", ["exp"], "malformed coefficient line"),
+        ("t.csv", "t\n0\n1\n", ["sig"], "path header 't' has no coordinate column"),
     ],
     ids=["word-above-N", "header-only", "ragged-row", "nan-time", "nan-coefficient",
-         "log-of-zero-scalar"],
+         "log-of-zero-scalar", "swapped-fields", "time-only"],
 )
 def test_algebra_bad_input_is_a_one_line_error(runner, tmp_path, name, text, args, message):
     f = tmp_path / name

@@ -78,10 +78,18 @@ def _route1_case(name):
     if name == "quartic-K40":  # blows up at t = 0.511
         return brownian_R(40), powerseries.quartic_initial(40), cfg
     # h = 1.3/97 is not a binary fraction, so every step time k h rounds
-    return (lambda y: y * y[::-1]), np.array([1.0 + 0.5j, -2.0]), SchemeConfig(T=1.3, steps=97)
+    y0, cfg = np.array([1.0 + 0.5j, -2.0]), SchemeConfig(T=1.3, steps=97)
+    # f's result aliases its argument: a loop that reuses a stage array or
+    # writes the new state before the stage sum is read loses the bits
+    if name == "returns-its-argument":  # the linear f of test_route1_stats_rhs_evals
+        return (lambda y: y), y0, cfg
+    if name == "returns-a-view":
+        return (lambda y: y[::-1]), y0, cfg
+    return (lambda y: y * y[::-1]), y0, cfg
 
 
-@pytest.mark.parametrize("case", ["levy-d2-N2", "factorial-d1-K20", "quartic-K40", "autonomous-T1.3-97"])
+@pytest.mark.parametrize("case", ["levy-d2-N2", "factorial-d1-K20", "quartic-K40", "autonomous-T1.3-97",
+                                  "returns-its-argument", "returns-a-view"])
 def test_ode_integrate_matches_the_reference_loop_bit_for_bit(case):
     f, y0, cfg = _route1_case(case)
     got, ref = ode_integrate(f, y0, cfg), ode_integrate_reference(f, y0, cfg)
@@ -513,6 +521,46 @@ def test_route1_at_T0_takes_no_step(T):
         assert traj.states.tobytes() == np.full(cfg.steps + 1, u0[0]).tobytes()
         assert vals.tobytes() == np.full(cfg.steps + 1, np.exp(u0[0])).tobytes()
         assert traj.times.tolist() == [0.0] * (cfg.steps + 1)
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_route1_loop_flushes_the_same_windows_at_T0(T):
+    # 21 rows through a 7-row window fill it twice and leave 7; at T = 0
+    # the rows repeat y0, a slice of the window at a time
+    f, y, n, starts = schemes._rk4_start(brownian_model(4).field.riccati, delta(1, 4, 0.3), (0,))
+    window, flushed = np.empty((7, len(y)), dtype=np.complex128), []
+    rows = schemes._rk4(f, y, SchemeConfig(T=T, steps=20), starts, window,
+                        lambda w: flushed.append(w.copy()))
+    assert (len(flushed), rows) == (2, 7)
+    if T == 0:
+        assert all(w.tobytes() == np.tile(y, (7, 1)).tobytes() for w in (*flushed, window))
+
+
+def test_route1_at_T0_with_a_non_finite_u0_stops_after_its_first_row():
+    field, cfg = brownian_model(20).field.riccati, SchemeConfig(T=0.0, steps=50)
+    u0 = powerseries.gbm_laplace_initial(1.0, 1.0, 20)
+    u0[0] = np.nan
+    f, y, n, starts = schemes._rk4_start(field, u0, (0,))
+    window = np.empty((cfg.steps + 1, len(y)), dtype=np.complex128)
+    assert schemes._rk4(f, y, cfg, starts, window, None) == 2  # row 0 and one repeat
+    full = ode_integrate(field, u0, cfg)
+    assert full.times.tolist() == [0.0] and full.explosion_time == 0.0
+    assert (full.stats["steps"], full.stats["stop"]) == (0, "non-finite state")
+    traj, vals = scheme1_riccati(field, u0, cfg)
+    assert len(traj.times) == len(vals) == 0 and traj.explosion_time == 0.0
+    assert traj.stats["stop"] == "non-finite value"
+
+
+def test_route1_keeps_a_finite_state_whose_size_overflows():
+    # |1.5e308 (1 + i)| overflows to inf, but the entry is finite: its rows
+    # are kept and the run completes
+    y0, cfg = np.array([0.5 + 0j, 1.5e308 + 1.5e308j]), SchemeConfig(T=1.0, steps=20)
+    full = ode_integrate(lambda y: 0 * y, y0, cfg, starts=[0, 1])
+    traj, vals = scheme1_riccati(lambda y: 0 * y, y0, cfg)
+    for run in (full, *full.blocks, traj):
+        assert run.status == "completed" and len(run.times) == cfg.steps + 1
+    assert full.stats["max_abs_state"] == traj.stats["max_abs_state"] == math.inf
+    assert vals.tobytes() == np.full(cfg.steps + 1, np.exp(0.5 + 0j)).tobytes()
 
 
 def test_route1_stack_checks_its_initial_data():

@@ -154,6 +154,13 @@ def test_path_csv_without_samples_is_rejected():
         PiecewisePath.from_csv("t,x1,x2\n")
 
 
+def test_path_csv_without_a_coordinate_column_is_rejected():
+    # a header of t alone passed, and the signature then failed on an
+    # alphabet of size 0
+    with pytest.raises(ValueError, match="path header 't' has no coordinate column x1"):
+        PiecewisePath.from_csv("t\n0\n1\n")
+
+
 def test_path_csv_ragged_row_names_its_line():
     text = "t,x1,x2\n0,0,0\n\n1,2\n2,1,1\n"
     with pytest.raises(ValueError, match=r"line 4 has 2 fields, the header 3: '1,2'"):

@@ -362,6 +362,16 @@ def test_text_non_finite_coefficient_is_rejected(value):
         TensorCoeffs.from_text(f"word=1 {value}\n", d=2, N=1)
 
 
+@pytest.mark.parametrize("line", ["word=1 im=2 re=3", "word=1 foo=2 bar=3", "word=1 re2 im=3"],
+                         ids=["swapped", "unlabelled", "no-equals"])
+def test_text_fields_are_read_by_their_labels(line):
+    # the 2nd and 3rd fields were read as re and im whatever their labels
+    # said: the swapped line read 2+3j and the unlabelled one was accepted
+    with pytest.raises(ValueError, match="malformed coefficient line, not word=... re=... im=..."):
+        TensorCoeffs.from_text(line + "\n", d=2, N=1)
+    assert TensorCoeffs.from_text("word=1 re=3 im=2\n", d=2, N=1)[(1,)] == 3 + 2j
+
+
 def test_truncation_and_support(rng):
     d, N = 2, 4
     u = TensorCoeffs.basis(d, N, (1, 2, 1))
